@@ -6,8 +6,9 @@
 //     exists; must be nonzero on any real host),
 //   * aggregate SpMM time of: oracle, the SpMM head, the SpMV head's picks
 //     (an op-unaware deployment), and always-CSR.
-// Emits BENCH_spmm.json; exit status is the CI gate (selector beats
-// always-CSR in aggregate AND divergence is nonzero).
+// Emits BENCH_spmm.json (per-format SpMV and SpMM winner counts, the
+// divergence and the four totals); exit status is the CI gate (selector
+// beats always-CSR in aggregate AND divergence is nonzero).
 //
 // Flags: --n <matrices> (default 180), --k <dense cols> (default 32),
 //        --reps <r> (default 3), --epochs <e> (default 25),
@@ -157,9 +158,11 @@ int main(int argc, char** argv) {
   w.field("k", static_cast<std::int64_t>(k));
   w.field("reps", reps);
   w.begin_array("formats");
-  for (Format f : formats) {
+  for (std::size_t f = 0; f < formats.size(); ++f) {
     w.begin_object();
-    w.field("name", format_name(f));
+    w.field("name", format_name(formats[f]));
+    w.field("spmv_wins", spmv_wins[f]);
+    w.field("spmm_wins", spmm_wins[f]);
     w.end_object();
   }
   w.end_array();

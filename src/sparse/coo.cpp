@@ -31,11 +31,26 @@ Csr csr_from_coo(const Coo& a) {
   return csr_from_triplets(a.rows, a.cols, std::move(ts));
 }
 
+CooShare coo_share(const Coo& a, int part, int parts) {
+  const std::int64_t nnz = a.nnz();
+  const auto cut = [&](int p) {
+    const std::int64_t j = nnz * p / parts;
+    if (j == 0 || j >= nnz) return j;
+    return static_cast<std::int64_t>(
+        std::upper_bound(a.row.begin() + j, a.row.end(), a.row[j - 1]) -
+        a.row.begin());
+  };
+  const auto first_row = [&](int p, std::int64_t j) {
+    return p == 0 ? 0 : j < nnz ? a.row[j] : a.rows;
+  };
+  const std::int64_t lo = cut(part);
+  const std::int64_t hi = cut(part + 1);
+  return {lo, hi, first_row(part, lo), first_row(part + 1, hi)};
+}
+
 void spmv_coo(const Coo& a, std::span<const double> x, std::span<double> y) {
   DNNSPMV_CHECK(x.size() == static_cast<std::size_t>(a.cols));
   DNNSPMV_CHECK(y.size() == static_cast<std::size_t>(a.rows));
-  std::fill(y.begin(), y.end(), 0.0);
-  const std::int64_t nnz = a.nnz();
   const index_t* rp = a.row.data();
   const index_t* cp = a.col.data();
   const double* vp = a.val.data();
@@ -45,37 +60,19 @@ void spmv_coo(const Coo& a, std::span<const double> x, std::span<double> y) {
 #pragma omp parallel
   {
 #ifdef _OPENMP
-    const int nt = omp_get_num_threads();
-    const int tid = omp_get_thread_num();
+    const CooShare s =
+        coo_share(a, omp_get_thread_num(), omp_get_num_threads());
 #else
-    const int nt = 1;
-    const int tid = 0;
+    const CooShare s = coo_share(a, 0, 1);
 #endif
-    const std::int64_t chunk = (nnz + nt - 1) / nt;
-    const std::int64_t lo = std::min<std::int64_t>(nnz, tid * chunk);
-    const std::int64_t hi = std::min<std::int64_t>(nnz, lo + chunk);
-    std::int64_t i = lo;
-    // Leading partial row: may be shared with the previous chunk.
-    if (i < hi) {
-      const index_t r0 = rp[i];
+    index_t r = s.row_lo;
+    for (std::int64_t i = s.lo; i < s.hi; ++r) {
+      for (; r < rp[i]; ++r) yv[r] = 0.0;  // empty rows before this run
       double acc = 0.0;
-      for (; i < hi && rp[i] == r0; ++i) acc += vp[i] * xv[cp[i]];
-#pragma omp atomic
-      yv[r0] += acc;
+      for (; i < s.hi && rp[i] == r; ++i) acc += vp[i] * xv[cp[i]];
+      yv[r] = acc;
     }
-    // Interior rows are exclusively owned.
-    while (i < hi) {
-      const index_t r = rp[i];
-      double acc = 0.0;
-      for (; i < hi && rp[i] == r; ++i) acc += vp[i] * xv[cp[i]];
-      if (i < hi) {
-        yv[r] = acc;  // row completed inside this chunk
-      } else {
-        // Trailing row may continue into the next chunk.
-#pragma omp atomic
-        yv[r] += acc;
-      }
-    }
+    for (; r < s.row_hi; ++r) yv[r] = 0.0;
   }
 }
 

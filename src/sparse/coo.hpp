@@ -26,8 +26,19 @@ struct Coo {
 Coo coo_from_csr(const Csr& a);
 Csr csr_from_coo(const Coo& a);
 
-/// y = A*x. Parallel over nnz chunks; rows that straddle a chunk boundary
-/// are combined with atomics, interior rows are owned by one thread.
+/// The part of a row-sorted COO that share `part` of `parts` owns:
+/// nonzeros [lo, hi) and rows [row_lo, row_hi). Shares are nnz-balanced,
+/// each cut snapped forward to the next row start, so every row (empty
+/// rows included) has exactly one owner.
+struct CooShare {
+  std::int64_t lo, hi;
+  index_t row_lo, row_hi;
+};
+CooShare coo_share(const Coo& a, int part, int parts);
+
+/// y = A*x. Parallel over coo_share()s: each thread writes only the rows
+/// it owns, so there are no atomics and the result does not depend on the
+/// thread count.
 void spmv_coo(const Coo& a, std::span<const double> x, std::span<double> y);
 
 }  // namespace dnnspmv

@@ -51,6 +51,85 @@ obs::Histogram& spmm_hist(Format f) {
   return *hists[static_cast<std::size_t>(f)];
 }
 
+// How a row panel's accumulator meets Y: overwrite it, add to it
+// starting from Y's value (bitwise `y += ...` in walk order), or add to
+// it atomically (a row shared between threads).
+enum class Out { kStore, kAccumulate, kAtomicAdd };
+
+// Columns [c, c + W) of one output row. `row(f)` calls f(v, xr) for each
+// of the row's nonzeros in the format's SpMV order, with xr the start of
+// the matching row of X. The W sums live in a local array the compiler
+// keeps in registers, and each column adds its products in walk order.
+template <int W, Out kOut, class Row>
+inline void panel(const Row& row, index_t c, double* yr) {
+  double acc[W];
+  for (int l = 0; l < W; ++l)
+    acc[l] = kOut == Out::kAccumulate ? yr[c + l] : 0.0;
+  row([&](double v, const double* xr) {
+    for (int l = 0; l < W; ++l) acc[l] += v * xr[c + l];
+  });
+  for (int l = 0; l < W; ++l) {
+    if constexpr (kOut == Out::kAtomicAdd) {
+#pragma omp atomic
+      yr[c + l] += acc[l];
+    } else {
+      yr[c + l] = acc[l];
+    }
+  }
+}
+
+// One output row over all K columns: 16-wide panels, then 4-wide, then
+// single columns. At K = 1 this is exactly the SpMV sum.
+template <Out kOut = Out::kStore, class Row>
+inline void row_panels(const Row& row, index_t k, double* yr) {
+  index_t c = 0;
+  for (; c + 16 <= k; c += 16) panel<16, kOut>(row, c, yr);
+  for (; c + 4 <= k; c += 4) panel<4, kOut>(row, c, yr);
+  for (; c < k; ++c) panel<1, kOut>(row, c, yr);
+}
+
+// The nonzeros [lo, hi) of parallel value/column arrays: a CSR row, a COO
+// row run or a CSR5 tile segment.
+inline auto run(const double* val, const index_t* col, std::int64_t lo,
+                std::int64_t hi, const double* xv, index_t k) {
+  return [=](auto&& f) {
+    for (std::int64_t j = lo; j < hi; ++j)
+      f(val[j], xv + static_cast<std::size_t>(col[j]) * k);
+  };
+}
+
+// Row-sorted COO over its coo_share()s, one per thread, so each row has a
+// single writer. kStore also zeroes the owned rows that have no nonzeros.
+template <Out kOut>
+void coo_panels(const Coo& a, const double* xv, double* yv, index_t k) {
+  const index_t* rp = a.row.data();
+  const auto zero_rows = [&](index_t from, index_t to) {
+    if constexpr (kOut == Out::kStore)
+      std::fill(yv + static_cast<std::size_t>(from) * k,
+                yv + static_cast<std::size_t>(to) * k, 0.0);
+  };
+#pragma omp parallel
+  {
+#ifdef _OPENMP
+    const CooShare s =
+        coo_share(a, omp_get_thread_num(), omp_get_num_threads());
+#else
+    const CooShare s = coo_share(a, 0, 1);
+#endif
+    index_t r = s.row_lo;
+    for (std::int64_t j = s.lo; j < s.hi; ++r) {
+      zero_rows(r, rp[j]);
+      r = rp[j];
+      std::int64_t e = j + 1;
+      while (e < s.hi && rp[e] == r) ++e;
+      row_panels<kOut>(run(a.val.data(), a.col.data(), j, e, xv, k), k,
+                       yv + static_cast<std::size_t>(r) * k);
+      j = e;
+    }
+    zero_rows(r, s.row_hi);
+  }
+}
+
 }  // namespace
 
 void spmm_reference(const Csr& a, std::span<const double> x,
@@ -72,109 +151,40 @@ void spmm_csr(const Csr& a, std::span<const double> x, std::span<double> y,
               index_t k) {
   check_shapes(a.rows, a.cols, x, y, k);
   const std::int64_t* ptr = a.ptr.data();
-  const index_t* idx = a.idx.data();
-  const double* val = a.val.data();
   const double* xv = x.data();
   double* yv = y.data();
-#pragma omp parallel
-  {
-    // Per-thread accumulator row: the same val[j] * x[idx[j]] sequence as
-    // spmv_csr, widened to K lanes, so K = 1 is bitwise SpMV.
-    std::vector<double> acc(static_cast<std::size_t>(k));
-#pragma omp for schedule(dynamic, 64)
-    for (index_t i = 0; i < a.rows; ++i) {
-      std::fill(acc.begin(), acc.end(), 0.0);
-      for (std::int64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
-        const double v = val[j];
-        const double* xr = xv + static_cast<std::size_t>(idx[j]) * k;
-        for (index_t c = 0; c < k; ++c) acc[static_cast<std::size_t>(c)] +=
-            v * xr[c];
-      }
-      std::copy(acc.begin(), acc.end(),
-                yv + static_cast<std::size_t>(i) * k);
-    }
-  }
+#pragma omp parallel for schedule(dynamic, 64)
+  for (index_t i = 0; i < a.rows; ++i)
+    row_panels(run(a.val.data(), a.idx.data(), ptr[i], ptr[i + 1], xv, k), k,
+               yv + static_cast<std::size_t>(i) * k);
 }
 
 void spmm_coo(const Coo& a, std::span<const double> x, std::span<double> y,
               index_t k) {
   check_shapes(a.rows, a.cols, x, y, k);
-  std::fill(y.begin(), y.end(), 0.0);
-  const std::int64_t nnz = a.nnz();
-  const index_t* rp = a.row.data();
-  const index_t* cp = a.col.data();
-  const double* vp = a.val.data();
-  const double* xv = x.data();
-  double* yv = y.data();
-
-#pragma omp parallel
-  {
-#ifdef _OPENMP
-    const int nt = omp_get_num_threads();
-    const int tid = omp_get_thread_num();
-#else
-    const int nt = 1;
-    const int tid = 0;
-#endif
-    const std::int64_t chunk = (nnz + nt - 1) / nt;
-    const std::int64_t lo = std::min<std::int64_t>(nnz, tid * chunk);
-    const std::int64_t hi = std::min<std::int64_t>(nnz, lo + chunk);
-    std::vector<double> acc(static_cast<std::size_t>(k));
-    const auto accumulate = [&](std::int64_t j) {
-      const double v = vp[j];
-      const double* xr = xv + static_cast<std::size_t>(cp[j]) * k;
-      for (index_t c = 0; c < k; ++c) acc[static_cast<std::size_t>(c)] +=
-          v * xr[c];
-    };
-    std::int64_t i = lo;
-    // Leading partial row: may be shared with the previous chunk.
-    if (i < hi) {
-      const index_t r0 = rp[i];
-      std::fill(acc.begin(), acc.end(), 0.0);
-      for (; i < hi && rp[i] == r0; ++i) accumulate(i);
-      double* yr = yv + static_cast<std::size_t>(r0) * k;
-      for (index_t c = 0; c < k; ++c) {
-#pragma omp atomic
-        yr[c] += acc[static_cast<std::size_t>(c)];
-      }
-    }
-    // Interior rows are exclusively owned.
-    while (i < hi) {
-      const index_t r = rp[i];
-      std::fill(acc.begin(), acc.end(), 0.0);
-      for (; i < hi && rp[i] == r; ++i) accumulate(i);
-      double* yr = yv + static_cast<std::size_t>(r) * k;
-      if (i < hi) {
-        std::copy(acc.begin(), acc.end(), yr);  // row completed here
-      } else {
-        // Trailing row may continue into the next chunk.
-        for (index_t c = 0; c < k; ++c) {
-#pragma omp atomic
-          yr[c] += acc[static_cast<std::size_t>(c)];
-        }
-      }
-    }
-  }
+  coo_panels<Out::kStore>(a, x.data(), y.data(), k);
 }
 
 void spmm_dia(const Dia& a, std::span<const double> x, std::span<double> y,
               index_t k) {
   check_shapes(a.rows, a.cols, x, y, k);
-  std::fill(y.begin(), y.end(), 0.0);
   const double* xv = x.data();
   double* yv = y.data();
-  for (std::size_t d = 0; d < a.offsets.size(); ++d) {
-    const index_t off = a.offsets[d];
-    const index_t istart = std::max<index_t>(0, -off);
-    const index_t iend = std::min<index_t>(a.rows, a.cols - off);
-    const double* diag = a.data.data() + d * a.rows;
+  const auto off0 = a.offsets.begin();
+  // Row-outer: each row adds its diagonals in offset order, the order in
+  // which spmv_dia's diagonal-outer sweep reaches that row. Row i meets
+  // the diagonals with offsets in [-i, cols - i).
 #pragma omp parallel for schedule(static)
-    for (index_t i = istart; i < iend; ++i) {
-      const double v = diag[i];
-      const double* xr = xv + static_cast<std::size_t>(i + off) * k;
-      double* yr = yv + static_cast<std::size_t>(i) * k;
-      for (index_t c = 0; c < k; ++c) yr[c] += v * xr[c];
-    }
+  for (index_t i = 0; i < a.rows; ++i) {
+    const auto d0 = std::lower_bound(off0, a.offsets.end(), -i) - off0;
+    const auto d1 = std::lower_bound(off0, a.offsets.end(), a.cols - i) - off0;
+    row_panels(
+        [&](auto&& f) {
+          for (auto d = d0; d < d1; ++d)
+            f(a.data[static_cast<std::size_t>(d) * a.rows + i],
+              xv + static_cast<std::size_t>(i + off0[d]) * k);
+        },
+        k, yv + static_cast<std::size_t>(i) * k);
   }
 }
 
@@ -183,43 +193,25 @@ void spmm_ell(const Ell& a, std::span<const double> x, std::span<double> y,
   check_shapes(a.rows, a.cols, x, y, k);
   const double* xv = x.data();
   double* yv = y.data();
-#pragma omp parallel
-  {
-    std::vector<double> acc(static_cast<std::size_t>(k));
-#pragma omp for schedule(static)
-    for (index_t i = 0; i < a.rows; ++i) {
-      std::fill(acc.begin(), acc.end(), 0.0);
-      for (index_t w = 0; w < a.width; ++w) {
-        const index_t c0 = a.col[static_cast<std::size_t>(w) * a.rows + i];
-        if (c0 < 0) continue;
-        const double v = a.data[static_cast<std::size_t>(w) * a.rows + i];
-        const double* xr = xv + static_cast<std::size_t>(c0) * k;
-        for (index_t c = 0; c < k; ++c) acc[static_cast<std::size_t>(c)] +=
-            v * xr[c];
-      }
-      std::copy(acc.begin(), acc.end(),
-                yv + static_cast<std::size_t>(i) * k);
-    }
-  }
+#pragma omp parallel for schedule(static)
+  for (index_t i = 0; i < a.rows; ++i)
+    row_panels(
+        [&](auto&& f) {
+          for (index_t w = 0; w < a.width; ++w) {
+            const std::size_t s = static_cast<std::size_t>(w) * a.rows + i;
+            if (a.col[s] >= 0)
+              f(a.data[s], xv + static_cast<std::size_t>(a.col[s]) * k);
+          }
+        },
+        k, yv + static_cast<std::size_t>(i) * k);
 }
 
 void spmm_hyb(const Hyb& a, std::span<const double> x, std::span<double> y,
               index_t k) {
   spmm_ell(a.ell, x, y, k);  // writes y
-  if (a.coo.nnz() == 0) return;
-  // Accumulate overflow on top of the ELL result (serial, like SpMV).
-  const index_t* rp = a.coo.row.data();
-  const index_t* cp = a.coo.col.data();
-  const double* vp = a.coo.val.data();
-  const double* xv = x.data();
-  double* yv = y.data();
-  const std::int64_t nnz = a.coo.nnz();
-  for (std::int64_t i = 0; i < nnz; ++i) {
-    const double v = vp[i];
-    const double* xr = xv + static_cast<std::size_t>(cp[i]) * k;
-    double* yr = yv + static_cast<std::size_t>(rp[i]) * k;
-    for (index_t c = 0; c < k; ++c) yr[c] += v * xr[c];
-  }
+  // The overflow adds onto the ELL result run by run, like spmv_hyb.
+  if (a.coo.nnz() > 0)
+    coo_panels<Out::kAccumulate>(a.coo, x.data(), y.data(), k);
 }
 
 void spmm_bsr(const Bsr& a, std::span<const double> x, std::span<double> y,
@@ -227,39 +219,26 @@ void spmm_bsr(const Bsr& a, std::span<const double> x, std::span<double> y,
   check_shapes(a.rows, a.cols, x, y, k);
   const double* xv = x.data();
   double* yv = y.data();
-  static constexpr double kZeroRow[1] = {0.0};  // never read beyond [0]
-  (void)kZeroRow;
-#pragma omp parallel
-  {
-    std::vector<double> acc(static_cast<std::size_t>(kBsrBlock) * k);
-    std::vector<double> xpad(static_cast<std::size_t>(k), 0.0);
-#pragma omp for schedule(dynamic, 16)
-    for (index_t br = 0; br < a.brows; ++br) {
-      std::fill(acc.begin(), acc.end(), 0.0);
-      for (std::int64_t b = a.ptr[br]; b < a.ptr[br + 1]; ++b) {
-        const index_t c0 = a.idx[b] * kBsrBlock;
-        const double* blk = a.data.data() + b * kBsrBlock * kBsrBlock;
-        // Same (block, i, j) accumulation order as spmv_bsr; columns past
-        // the logical padding read a zero row, like xl[j] = 0 there.
-        const double* xrows[kBsrBlock];
-        for (index_t j = 0; j < kBsrBlock; ++j)
-          xrows[j] = (c0 + j < a.cols)
-                         ? xv + static_cast<std::size_t>(c0 + j) * k
-                         : xpad.data();
-        for (index_t i = 0; i < kBsrBlock; ++i)
-          for (index_t j = 0; j < kBsrBlock; ++j) {
-            const double v = blk[i * kBsrBlock + j];
-            double* ar = acc.data() + static_cast<std::size_t>(i) * k;
-            const double* xr = xrows[j];
-            for (index_t c = 0; c < k; ++c) ar[c] += v * xr[c];
-          }
-      }
-      const index_t r0 = br * kBsrBlock;
-      for (index_t i = 0; i < kBsrBlock && r0 + i < a.rows; ++i)
-        std::copy(acc.data() + static_cast<std::size_t>(i) * k,
-                  acc.data() + static_cast<std::size_t>(i + 1) * k,
-                  yv + static_cast<std::size_t>(r0 + i) * k);
-    }
+  // Columns past the logical edge of a boundary block read this zero row,
+  // like xl[j] = 0 in spmv_bsr.
+  const std::vector<double> zero(static_cast<std::size_t>(k), 0.0);
+#pragma omp parallel for schedule(dynamic, 16)
+  for (index_t br = 0; br < a.brows; ++br) {
+    for (index_t i = 0; i < kBsrBlock && br * kBsrBlock + i < a.rows; ++i)
+      row_panels(
+          [&](auto&& f) {
+            // Same (block, j) order as spmv_bsr's row i.
+            for (std::int64_t b = a.ptr[br]; b < a.ptr[br + 1]; ++b) {
+              const index_t c0 = a.idx[b] * kBsrBlock;
+              const double* blk =
+                  a.data.data() + (b * kBsrBlock + i) * kBsrBlock;
+              for (index_t j = 0; j < kBsrBlock; ++j)
+                f(blk[j], c0 + j < a.cols
+                              ? xv + static_cast<std::size_t>(c0 + j) * k
+                              : zero.data());
+            }
+          },
+          k, yv + static_cast<std::size_t>(br * kBsrBlock + i) * k);
   }
 }
 
@@ -269,47 +248,26 @@ void spmm_csr5(const Csr5& a, std::span<const double> x, std::span<double> y,
   std::fill(y.begin(), y.end(), 0.0);
   const std::int64_t ntiles = a.num_tiles();
   const std::int64_t nnz = a.nnz();
-  const double* xv = x.data();
-  const index_t* idx = a.idx.data();
-  const double* val = a.val.data();
   const std::int64_t* ptr = a.ptr.data();
+  const double* xv = x.data();
   double* yv = y.data();
-
-#pragma omp parallel
-  {
-    std::vector<double> acc(static_cast<std::size_t>(k));
-#pragma omp for schedule(static)
-    for (std::int64_t t = 0; t < ntiles; ++t) {
-      const std::int64_t lo = t * a.tile;
-      const std::int64_t hi = std::min(nnz, lo + a.tile);
-      index_t r = a.tile_row[static_cast<std::size_t>(t)];
-      std::int64_t j = lo;
-      while (j < hi) {
-        const std::int64_t row_end = std::min(hi, ptr[r + 1]);
-        std::fill(acc.begin(), acc.end(), 0.0);
-        for (; j < row_end; ++j) {
-          const double v = val[j];
-          const double* xr = xv + static_cast<std::size_t>(idx[j]) * k;
-          for (index_t c = 0; c < k; ++c) acc[static_cast<std::size_t>(c)] +=
-              v * xr[c];
-        }
-        const bool row_complete_here =
-            (lo <= ptr[r] && row_end == ptr[r + 1]);
-        double* yr = yv + static_cast<std::size_t>(r) * k;
-        if (row_complete_here) {
-          std::copy(acc.begin(), acc.end(), yr);  // tile owns the row
-        } else {
-          // Partial row shared with a neighbouring tile. (When the row is
-          // not complete here it necessarily straddles the tile boundary,
-          // so the SpMV kernel's acc != 0 shortcut never fires — the
-          // atomic add is unconditional there too.)
-          for (index_t c = 0; c < k; ++c) {
-#pragma omp atomic
-            yr[c] += acc[static_cast<std::size_t>(c)];
-          }
-        }
-        ++r;
-      }
+#pragma omp parallel for schedule(static)
+  for (std::int64_t t = 0; t < ntiles; ++t) {
+    const std::int64_t lo = t * a.tile;
+    const std::int64_t hi = std::min(nnz, lo + a.tile);
+    index_t r = a.tile_row[static_cast<std::size_t>(t)];
+    for (std::int64_t j = lo; j < hi; ++r) {
+      const std::int64_t row_end = std::min(hi, ptr[r + 1]);
+      const auto seg = run(a.val.data(), a.idx.data(), j, row_end, xv, k);
+      double* yr = yv + static_cast<std::size_t>(r) * k;
+      // A tile holding the whole row owns it. A partial row straddles a
+      // tile boundary and is flushed atomically; spmv_csr5's acc != 0
+      // shortcut never fires for such a row either.
+      if (lo <= ptr[r] && row_end == ptr[r + 1])
+        row_panels(seg, k, yr);
+      else
+        row_panels<Out::kAtomicAdd>(seg, k, yr);
+      j = row_end;
     }
   }
 }

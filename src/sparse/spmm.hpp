@@ -2,14 +2,15 @@
 // Y (rows×K) dense and row-major (the GNN/DNN serving layout — each
 // sparse row gathers contiguous K-wide panels of X).
 //
-// Every kernel mirrors its SpMV sibling's traversal and accumulation
-// order exactly, so at K = 1 the result is bitwise identical to the
-// corresponding spmv_* call — the property test_spmm pins down. The
-// OpenMP decomposition is the same as SpMV's too (rows for CSR/ELL/DIA/
-// BSR, nnz chunks for COO, tiles for CSR5), which keeps the relative
-// format ranking comparable across the two ops while the K-fold reuse of
-// index traffic shifts the crossover points (what makes op-aware
-// selection worth a second label set).
+// Every kernel walks each row's nonzeros in its SpMV sibling's order and
+// sums every column in that order, so at K = 1 the result is bitwise
+// identical to the corresponding spmv_* call, the property test_spmm
+// pins down. One row kernel serves every format: it covers K in register-
+// resident column panels and takes only the format's nonzero walk
+// (DESIGN.md §14). Work is split between threads as in SpMV: by rows,
+// by tiles for CSR5, and by nnz shares cut at row starts for COO, so
+// each COO row has one owner. DIA alone differs: it runs row-outer
+// instead of SpMV's one parallel loop per diagonal.
 #pragma once
 
 #include <span>

@@ -1,7 +1,8 @@
 // SpMM kernels (sparse/spmm.hpp): every format against the dense
 // reference over a generator × format × K grid (K = 1 and ragged tails
-// included), the K = 1 bitwise-parity contract with SpMV, empty-row
-// handling, and shape validation.
+// included), the K = 1 bitwise-parity contract with SpMV, bitwise
+// equality of the row-owned kernels at any team size, the COO row split,
+// empty-row handling, and shape validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -45,7 +46,9 @@ std::vector<double> random_panel(index_t rows, index_t k, std::uint64_t seed) {
 }
 
 // (generator, format, K): K covers the SpMV-degenerate case (1), ragged
-// widths no vector lane divides (3, 7), and a serving-typical panel (32).
+// widths no vector lane divides (3, 7), one exact 16-wide column panel
+// (16), a panel plus a ragged tail (19), two panels plus a tail (35), and
+// a serving-typical panel (32).
 class SpmmGrid
     : public ::testing::TestWithParam<std::tuple<int, std::int32_t, int>> {};
 
@@ -75,7 +78,7 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, SpmmGrid,
     ::testing::Combine(::testing::Range(0, 8),
                        ::testing::Range(0, kNumFormats),
-                       ::testing::Values(1, 3, 7, 32)));
+                       ::testing::Values(1, 3, 7, 16, 19, 32, 35)));
 
 // At K = 1 every kernel must reproduce its SpMV sibling bit for bit: the
 // traversal and accumulation order are shared by construction. Atomic
@@ -109,8 +112,98 @@ TEST(Spmm, KEqualsOneIsBitwiseSpmv) {
 #endif
 }
 
+// ThreadSanitizer cannot see the barriers of the (uninstrumented) OpenMP
+// runtime, so any multi-thread region reports false races there; the
+// tsan preset pins one thread for the same reason.
+#ifdef __SANITIZE_THREAD__
+constexpr int kTeams[] = {1};
+#else
+constexpr int kTeams[] = {1, 2, 4};
+#endif
+
+// Kernels that give every row one owning thread (CSR, ELL and DIA by
+// rows, COO by row-aligned nnz shares) add each row's products in CSR
+// order whatever the team size, so they equal the sequential reference
+// bit for bit. The same holds for COO SpMV against CSR SpMV.
+TEST(Spmm, RowOwnedKernelsBitwiseAcrossTeams) {
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  const Format owned[] = {Format::kCsr, Format::kCoo, Format::kEll,
+                          Format::kDia};
+  for (const int threads : kTeams) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#endif
+    for (int gen_id = 0; gen_id < 8; ++gen_id) {
+      const Csr a =
+          make_matrix(gen_id, 6000 + static_cast<std::uint64_t>(gen_id));
+      for (const index_t k : {1, 32}) {
+        const std::vector<double> x = random_panel(a.cols, k, 77);
+        std::vector<double> ref(static_cast<std::size_t>(a.rows) * k, 0.0);
+        spmm_reference(a, x, ref, k);
+        for (const Format f : owned) {
+          const auto m = AnyFormatMatrix::convert(a, f);
+          if (!m) continue;
+          std::vector<double> y(ref.size(), -99.0);
+          m->spmm(x, y, k);
+          EXPECT_EQ(0, std::memcmp(ref.data(), y.data(),
+                                   ref.size() * sizeof(double)))
+              << threads << " threads, gen " << gen_id << " k=" << k
+              << " format " << format_name(f);
+        }
+      }
+      const std::vector<double> x = random_panel(a.cols, 1, 78);
+      std::vector<double> y_csr(static_cast<std::size_t>(a.rows), -1.0);
+      std::vector<double> y_coo(y_csr.size(), -2.0);
+      spmv_csr(a, x, y_csr);
+      spmv_coo(coo_from_csr(a), x, y_coo);
+      EXPECT_EQ(0, std::memcmp(y_csr.data(), y_coo.data(),
+                               y_csr.size() * sizeof(double)))
+          << threads << " threads, gen " << gen_id << " COO SpMV";
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
+// The COO split itself: for any share count, the shares tile nnz and rows
+// contiguously, every cut lands on a row start, and each share's nonzeros
+// lie in its own rows. Checked without threads, so it holds under every
+// sanitizer preset.
+TEST(Spmm, CooSharesOwnWholeRows) {
+  for (int gen_id = 0; gen_id < 8; ++gen_id) {
+    const Coo a = coo_from_csr(
+        make_matrix(gen_id, 8000 + static_cast<std::uint64_t>(gen_id)));
+    for (const int parts : {1, 2, 3, 4, 7, 64}) {
+      std::int64_t lo = 0;
+      index_t row_lo = 0;
+      for (int p = 0; p < parts; ++p) {
+        const CooShare s = coo_share(a, p, parts);
+        ASSERT_EQ(lo, s.lo) << "gen " << gen_id << " share " << p;
+        ASSERT_EQ(row_lo, s.row_lo) << "gen " << gen_id << " share " << p;
+        ASSERT_LE(s.lo, s.hi);
+        ASSERT_LE(s.row_lo, s.row_hi);
+        if (s.lo > 0 && s.lo < a.nnz()) {
+          EXPECT_NE(a.row[s.lo - 1], a.row[s.lo]) << "cut inside a row";
+        }
+        for (std::int64_t j = s.lo; j < s.hi; ++j) {
+          EXPECT_GE(a.row[j], s.row_lo);
+          EXPECT_LT(a.row[j], s.row_hi);
+        }
+        lo = s.hi;
+        row_lo = s.row_hi;
+      }
+      EXPECT_EQ(a.nnz(), lo);
+      EXPECT_EQ(a.rows, row_lo);
+    }
+  }
+}
+
 // Leading, interior, and trailing empty rows must produce exact zero
-// panels — formats that scatter (COO, CSR5) as well as row-driven ones.
+// panels — COO, which zeroes the rows it has no run for, and CSR5, which
+// scatters, as well as the row-driven formats.
 TEST(Spmm, EmptyRowsYieldZeroPanels) {
   std::vector<Triplet> t = {{1, 0, 2.0}, {1, 3, -1.0}, {4, 2, 0.5}};
   const Csr a = csr_from_triplets(6, 5, t);  // rows 0, 2, 3, 5 empty
