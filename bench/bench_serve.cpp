@@ -377,12 +377,10 @@ double selector_accuracy(const FormatSelector& sel,
 // Steady-state throughput of a registry-backed service, optionally with a
 // publisher re-publishing the model on a fixed cadence. The workload is
 // mostly cache hits plus a trickle of never-seen matrices (one per 200
-// requests) — the misses matter: a parked worker only adopts a published
-// version when a miss wakes it, and adoption is what makes swaps cost
-// anything (one O(#params) clone, plus the version-keyed cache entries of
-// the hot pool re-predicting under the new version). An all-hit workload
-// would price swaps at zero by construction; all-miss would price the CNN,
-// not the swap. The with/without-publisher pair on the same workload
+// requests). A swap costs one re-miss per hot key (probes key on the
+// registry's newest version, so the hot pool re-predicts under it) plus
+// the workers' snapshot load when a miss wakes them; all-miss traffic
+// would price the CNN, not the swap. The with/without-publisher pair on the same workload
 // isolates the swap machinery.
 double run_swap_throughput(ModelRegistry& registry, const Workload& w,
                            const std::vector<Csr>& fresh_stream,

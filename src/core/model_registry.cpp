@@ -65,24 +65,20 @@ ModelRegistry::ModelRegistry(FormatSelector initial)
   DNNSPMV_CHECK_ERRC(initial.trained(), errc::not_trained,
                      "ModelRegistry needs a trained boot model");
   initial.model_version_ = 1;
-  current_ = std::make_shared<const FormatSelector>(std::move(initial));
+  current_.store(std::make_shared<const FormatSelector>(std::move(initial)));
   version_.store(1, std::memory_order_release);
   version_gauge_.set(1.0);
 }
 
-std::shared_ptr<const FormatSelector> ModelRegistry::current() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return current_;
-}
-
 std::uint64_t ModelRegistry::publish(FormatSelector next) {
-  std::lock_guard<std::mutex> lock(mu_);
-  check_compatible(*current_, next);
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  check_compatible(*current(), next);
   const std::uint64_t v = version_.load(std::memory_order_relaxed) + 1;
   next.model_version_ = v;
   // Old versions stay alive through the shared_ptrs subscribers still
   // hold — swapping the registry pointer never pauses a reader.
-  current_ = std::make_shared<const FormatSelector>(std::move(next));
+  current_.store(std::make_shared<const FormatSelector>(std::move(next)),
+                 std::memory_order_release);
   version_.store(v, std::memory_order_release);
   published_.inc();
   version_gauge_.set(static_cast<double>(v));
@@ -90,27 +86,22 @@ std::uint64_t ModelRegistry::publish(FormatSelector next) {
 }
 
 ModelSubscription::ModelSubscription(ModelRegistry& registry)
-    : registry_(registry) {
-  std::shared_ptr<const FormatSelector> cur = registry_.current();
-  model_ = std::make_shared<const FormatSelector>(cur->clone());
-  version_.store(cur->model_version(), std::memory_order_relaxed);
-}
+    : registry_(registry), version_(registry.current()->model_version()) {}
 
 std::shared_ptr<const FormatSelector> ModelSubscription::model() {
-  // Fast path: adopted version is current — hand out the local snapshot.
-  // Slow path (a publish happened): clone the new version into a private
-  // copy so this subscriber keeps its own inference lane, then swap. Both
-  // paths serialize on the subscription mutex; only subscriber threads
-  // (a service's few workers, at batch granularity) ever contend on it.
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t rv = registry_.version();
-  if (rv != version_.load(std::memory_order_relaxed)) {
-    std::shared_ptr<const FormatSelector> cur = registry_.current();
-    model_ = std::make_shared<const FormatSelector>(cur->clone());
-    version_.store(cur->model_version(), std::memory_order_relaxed);
-    swaps_.fetch_add(1, std::memory_order_relaxed);
+  std::shared_ptr<const FormatSelector> cur = registry_.current();
+  // Adoption only moves forward: of two threads racing through a publish,
+  // the one holding the newer snapshot counts the swap.
+  const std::uint64_t v = cur->model_version();
+  std::uint64_t adopted = version_.load(std::memory_order_relaxed);
+  while (adopted < v) {
+    if (version_.compare_exchange_weak(adopted, v,
+                                       std::memory_order_relaxed)) {
+      swaps_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    }
   }
-  return model_;
+  return cur;
 }
 
 }  // namespace dnnspmv

@@ -10,11 +10,10 @@
 //   fine-tuned FormatSelector ──→ publish():                ModelSubscription
 //                                  validate compat           per replica
 //                                  stamp version N+1            │
-//                                  swap shared_ptr        stale()? lock-free
+//                                  store shared_ptr       stale()? lock-free
 //                                  (writers never block       │ version check
-//                                   readers, readers       adopt: clone the
-//                                   never block writers)   snapshot, swap the
-//                                                          local shared_ptr
+//                                   readers, readers       model(): load the
+//                                   never block writers)   shared snapshot
 //
 // Versions are immutable: a published FormatSelector is never trained or
 // mutated again; fine-tuning always builds a fresh network (see
@@ -22,19 +21,14 @@
 // stays alive for as long as any in-flight batch still runs on it — the
 // RCU grace period is reference counting, no epochs, no quiescent states.
 //
-// Hot-path contract: checking for staleness is one relaxed atomic load
-// (version()); nothing on a serving hot path ever takes the registry
-// mutex. current()/publish()/adoption take a mutex, but they run only
-// when a new version actually appears — a rare, cold event.
+// Hot-path contract: checking for staleness is one atomic load
+// (version()) and adopting is one atomic shared_ptr load (current());
+// neither takes a lock. Only publish() serializes, on the registry mutex.
 //
-// Why subscribers clone instead of sharing the published object: MergeNet
-// keeps per-forward scratch, so inference serializes on a per-selector
-// mutex (selector.hpp). N replicas sharing one published instance would
-// collapse into one inference lane. ModelSubscription therefore adopts by
-// cloning — one O(#params) copy per subscriber per published version —
-// keeping replicas' lanes independent while the *publication path* (which
-// weights, which version) stays single-sourced, replacing the divergent
-// clone()-per-replica ownership the router used before.
+// Subscribers share the published object itself: inference is const and
+// re-entrant (every forward writes only to the caller's Workspace, see
+// selector.hpp), so N replicas serving one snapshot run N concurrent
+// forwards on one set of weights — no per-subscriber copy, no lock.
 #pragma once
 
 #include <atomic>
@@ -57,9 +51,10 @@ class ModelRegistry {
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
   /// The newest published snapshot. Immutable; safe to call concurrently
-  /// with publish(). Cold path — subscribers only call this after a
-  /// lock-free version() check says their snapshot is stale.
-  std::shared_ptr<const FormatSelector> current() const;
+  /// with publish(). One atomic shared_ptr load.
+  std::shared_ptr<const FormatSelector> current() const {
+    return current_.load(std::memory_order_acquire);
+  }
 
   /// Version of the newest snapshot (monotonic from 1). One relaxed
   /// atomic load — the hot-path staleness probe.
@@ -84,8 +79,8 @@ class ModelRegistry {
   const SelectorOptions& options() const { return options_; }
 
  private:
-  mutable std::mutex mu_;
-  std::shared_ptr<const FormatSelector> current_;  // guarded by mu_
+  std::mutex publish_mu_;  // serializes publishers
+  std::atomic<std::shared_ptr<const FormatSelector>> current_;
   std::atomic<std::uint64_t> version_{0};
 
   std::vector<Format> candidates_;  // pinned at construction
@@ -96,12 +91,12 @@ class ModelRegistry {
   obs::Counter& published_;
 };
 
-/// One subscriber's RCU read side: a privately-owned clone of the
-/// registry's current version, refreshed on demand. stale() is the
-/// lock-free hot-path probe; model() swaps in a fresh clone only when a
-/// new version was published (cold). Snapshots returned by model() pin
-/// their version: an in-flight batch keeps its shared_ptr and finishes on
-/// the version it started with, even while the subscription moves on.
+/// One subscriber's RCU read side: tracks which registry version this
+/// subscriber has adopted. stale() is the lock-free hot-path probe;
+/// model() hands out the registry's current snapshot and records it as
+/// adopted. Snapshots returned by model() pin their version: an in-flight
+/// batch keeps its shared_ptr and finishes on the version it started with,
+/// even while the subscription moves on.
 class ModelSubscription {
  public:
   explicit ModelSubscription(ModelRegistry& registry);
@@ -115,9 +110,9 @@ class ModelSubscription {
     return registry_.version() != version_.load(std::memory_order_relaxed);
   }
 
-  /// The adopted snapshot, refreshing first if stale. Callers keep the
-  /// returned shared_ptr for the whole unit of work they want pinned to
-  /// one version (the Batcher holds it across a micro-batch).
+  /// The registry's current snapshot, adopted. Callers keep the returned
+  /// shared_ptr for the whole unit of work they want pinned to one version
+  /// (the Batcher holds it across a micro-batch).
   std::shared_ptr<const FormatSelector> model();
 
   /// Adopted version (lags registry.version() until the next model()).
@@ -135,8 +130,6 @@ class ModelSubscription {
 
  private:
   ModelRegistry& registry_;
-  std::mutex mu_;
-  std::shared_ptr<const FormatSelector> model_;  // guarded by mu_
   std::atomic<std::uint64_t> version_{0};
   std::atomic<std::uint64_t> swaps_{0};
 };

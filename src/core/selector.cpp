@@ -2,8 +2,6 @@
 
 #include <fstream>
 
-#include <numeric>
-
 #include "common/error.hpp"
 #include "core/trainer.hpp"
 #include "nn/loss.hpp"
@@ -110,12 +108,13 @@ std::vector<std::vector<Tensor>> FormatSelector::calib_batches(
       std::min<std::int64_t>(opts_.quant.max_calib_samples,
                              static_cast<std::int64_t>(calib.samples.size()));
   const std::int64_t bs = std::max(1, opts_.train.batch);
+  Workspace ws;
   std::vector<std::vector<Tensor>> batches;
   for (std::int64_t i = 0; i < cap; i += bs) {
     std::vector<std::int32_t> idx;
     for (std::int64_t j = i; j < std::min(cap, i + bs); ++j)
       idx.push_back(static_cast<std::int32_t>(j));
-    batches.push_back(assemble_batch(calib, idx, ninputs));
+    batches.push_back(assemble_batch(sample_inputs(calib, idx), ninputs, ws));
   }
   return batches;
 }
@@ -125,15 +124,10 @@ void FormatSelector::quantize(const Dataset& calib) {
   DNNSPMV_CHECK_MSG(!calib.samples.empty(),
                     "quantize needs a calibration dataset");
   const std::vector<std::vector<Tensor>> batches = calib_batches(calib);
-  // The calibration walk runs forwards through the shared net scratch, so
-  // it takes the same lock predictions do.
-  {
-    std::lock_guard<std::mutex> lock(*infer_mu_);
-    qws_ = std::make_unique<QuantizedWeightSet>(
-        quantize_merge_net(*net_, batches, opts_.quant));
-    qnet_ = std::make_unique<QuantizedMergeNet>(*net_, *qws_);
-    opts_.quantize = true;
-  }
+  qws_ = std::make_unique<QuantizedWeightSet>(
+      quantize_merge_net(*net_, batches, opts_.quant));
+  qnet_ = std::make_unique<QuantizedMergeNet>(*net_, *qws_);
+  opts_.quantize = true;
   // Representations are op-independent, so the same calibration batches
   // exercise the SpMM head's activation ranges.
   if (spmm_net_) quantize_spmm(calib);
@@ -142,7 +136,6 @@ void FormatSelector::quantize(const Dataset& calib) {
 void FormatSelector::quantize_spmm(const Dataset& calib) {
   DNNSPMV_CHECK(spmm_net_ && !calib.samples.empty());
   const std::vector<std::vector<Tensor>> batches = calib_batches(calib);
-  std::lock_guard<std::mutex> lock(*infer_mu_);
   spmm_qws_ = std::make_unique<QuantizedWeightSet>(
       quantize_merge_net(*spmm_net_, batches, opts_.quant));
   spmm_qnet_ = std::make_unique<QuantizedMergeNet>(*spmm_net_, *spmm_qws_);
@@ -160,35 +153,23 @@ std::vector<std::int32_t> FormatSelector::predict_prepared(
   DNNSPMV_CHECK_MSG(op == SpOp::kSpmv || spmm_net_,
                     "predict(kSpmm) on a selector without an SpMM head "
                     "(fit_spmm was never called)");
-  MergeNet* net = op == SpOp::kSpmv ? net_.get() : spmm_net_.get();
-  QuantizedMergeNet* qnet =
-      op == SpOp::kSpmv ? qnet_.get() : spmm_qnet_.get();
   if (prepared.empty()) return {};
-  Dataset batch;
-  batch.candidates = candidates_;
-  batch.samples.reserve(prepared.size());
-  for (const std::vector<Tensor>& inputs : prepared) {
-    Sample s;
-    s.inputs = inputs;
-    batch.samples.push_back(std::move(s));
-  }
-  // One forward over the whole batch; the lock covers only inference, not
-  // the representation work above.
-  std::lock_guard<std::mutex> lock(*infer_mu_);
-  if (qnet) {
-    // Quantized cold-miss path: same batch assembly, int8 forward. The
-    // lock still applies — the executor shares the net's fp32 pool layers
-    // (mutable argmax scratch).
-    std::vector<std::int32_t> idx(batch.samples.size());
-    std::iota(idx.begin(), idx.end(), 0);
-    const std::vector<Tensor> inputs =
-        assemble_batch(batch, idx, num_net_inputs(make_spec()));
-    Tensor logits;
-    qnet->forward(inputs, logits);
-    return argmax_rows(logits);
-  }
-  return predict_cnn(*net, batch, num_net_inputs(make_spec()),
-                     static_cast<int>(prepared.size()), ws);
+  Workspace& w = ws ? *ws : thread_workspace();
+  std::vector<const std::vector<Tensor>*> samples;
+  samples.reserve(prepared.size());
+  for (const std::vector<Tensor>& inputs : prepared) samples.push_back(&inputs);
+  // One forward over the whole batch, fp32 or int8.
+  const std::vector<Tensor>& inputs =
+      assemble_batch(samples, num_net_inputs(make_spec()), w);
+  const QuantizedMergeNet* qnet =
+      op == SpOp::kSpmv ? qnet_.get() : spmm_qnet_.get();
+  Tensor logits;
+  if (qnet)
+    qnet->forward(inputs, logits, w);
+  else
+    (op == SpOp::kSpmv ? net_ : spmm_net_)
+        ->forward(inputs, logits, /*training=*/false, w);
+  return argmax_rows(logits);
 }
 
 std::int32_t FormatSelector::predict_index(const Csr& a, SpOp op) const {
@@ -237,14 +218,13 @@ FormatSelector FormatSelector::clone() const {
   DNNSPMV_CHECK_MSG(net_, "clone of an untrained FormatSelector");
   FormatSelector out(opts_);
   out.candidates_ = candidates_;
-  // Clones carry the weight set's registry version: a ModelSubscription's
-  // private copy must answer model_version() with the published number.
+  // Clones carry the weight set's registry version.
   out.model_version_ = model_version_;
   out.net_ = std::make_unique<MergeNet>(build_cnn(out.make_spec()));
   copy_params(const_cast<MergeNet&>(*net_).params(), out.net_->params());
   if (qws_) {
     // The weight set is pure data; the executor is rebuilt over the
-    // clone's net so each lane has private int8 scratch.
+    // clone's net, which its fp32 passthrough ops point into.
     out.qws_ = std::make_unique<QuantizedWeightSet>(*qws_);
     out.qnet_ = std::make_unique<QuantizedMergeNet>(*out.net_, *out.qws_);
   }
@@ -299,11 +279,11 @@ void FormatSelector::save(const std::string& path) const {
   DNNSPMV_CHECK_MSG(net_, "save of an untrained FormatSelector");
   std::ofstream os(path, std::ios::binary);
   DNNSPMV_CHECK_MSG(os.is_open(), "cannot open " << path << " for write");
-  // Versioned weight set: the header carries the registry version the
-  // weights were published as, so a reloaded model keeps its provenance.
-  // v2 adds the quantize flag and the optional QuantizedWeightSet trailer;
-  // v3 adds the SpMM-head flag + K and the head's params/weights trailer.
-  save_weight_set_header(os, WeightSetHeader{3, model_version_});
+  // The header carries the registry version the weights were published
+  // as, so a reloaded model keeps its provenance. The options block holds
+  // the quantize flag and the SpMM-head flag + K; the optional int8 weight
+  // set and SpMM-head params trail the SpMV head's params.
+  save_weight_set_header(os, WeightSetHeader{.model_version = model_version_});
   const auto mode = static_cast<std::int32_t>(opts_.mode);
   os.write(reinterpret_cast<const char*>(&mode), sizeof(mode));
   os.write(reinterpret_cast<const char*>(&opts_.rep_rows), sizeof(opts_.rep_rows));
@@ -336,29 +316,17 @@ FormatSelector FormatSelector::load(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   DNNSPMV_CHECK_MSG(is.is_open(), "cannot open " << path);
   SelectorOptions opts;
-  // Pre-versioning files start directly with the mode field; the header
-  // probe rewinds on them and the model loads with version 0 (unpublished).
-  WeightSetHeader header;
-  read_weight_set_header(is, header);
-  std::int32_t mode = 0, late = 0, ncand = 0;
+  const WeightSetHeader header = read_weight_set_header(is);
+  std::int32_t mode = 0, late = 0, ncand = 0, quant = 0, has_spmm = 0;
   is.read(reinterpret_cast<char*>(&mode), sizeof(mode));
   is.read(reinterpret_cast<char*>(&opts.rep_rows), sizeof(opts.rep_rows));
   is.read(reinterpret_cast<char*>(&opts.rep_bins), sizeof(opts.rep_bins));
   is.read(reinterpret_cast<char*>(&opts.rep_sample_nnz),
           sizeof(opts.rep_sample_nnz));
   is.read(reinterpret_cast<char*>(&late), sizeof(late));
-  std::int32_t quant = 0;
-  // The quantize flag exists from format v2 on; v1 and legacy pre-header
-  // files are always fp32.
-  if (header.format_version >= 2)
-    is.read(reinterpret_cast<char*>(&quant), sizeof(quant));
-  std::int32_t has_spmm = 0;
-  // The SpMM head exists from format v3 on; earlier files are SpMV-only.
-  if (header.format_version >= 3) {
-    is.read(reinterpret_cast<char*>(&has_spmm), sizeof(has_spmm));
-    is.read(reinterpret_cast<char*>(&opts.spmm_cols),
-            sizeof(opts.spmm_cols));
-  }
+  is.read(reinterpret_cast<char*>(&quant), sizeof(quant));
+  is.read(reinterpret_cast<char*>(&has_spmm), sizeof(has_spmm));
+  is.read(reinterpret_cast<char*>(&opts.spmm_cols), sizeof(opts.spmm_cols));
   is.read(reinterpret_cast<char*>(&ncand), sizeof(ncand));
   DNNSPMV_CHECK_MSG(is.good() && ncand >= 2, "corrupt selector file");
   opts.mode = static_cast<RepMode>(mode);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "core/rep_stream.hpp"
@@ -34,9 +33,8 @@ struct SelectorOptions {
   // Post-training int8 quantization of the inference path (DESIGN.md §13):
   // fit() calibrates on the training slice and predictions run the int8
   // kernels; migrate() re-calibrates on the target dataset, so online
-  // publishes stay quantized. Rides save/load (v2 weight-set format) and
-  // clone(), and is validated by ModelRegistry::publish like the rep
-  // geometry.
+  // publishes stay quantized. Rides save/load and clone(), and is
+  // validated by ModelRegistry::publish like the rep geometry.
   bool quantize = false;
   // Representation tensors are normalized and bounded (no outlier tail),
   // so exact-range calibration beats percentile clipping here — it keeps
@@ -84,12 +82,12 @@ class FormatSelector {
   /// Predicted best format for a new matrix.
   ///
   /// Thread safety: predict/predict_index/predict_batch/predict_prepared
-  /// may be called concurrently from any number of threads on a trained
-  /// selector. MergeNet keeps mutable per-forward scratch (activations for
-  /// backward), so inference is internally serialized on a per-selector
-  /// mutex; representation-building (prepare_inputs) runs outside the lock
-  /// and scales with the callers. Concurrent prediction must not overlap
-  /// with fit()/migrate() on the same object.
+  /// are const and re-entrant: every forward writes only to a Workspace
+  /// the caller owns (or the calling thread's), so any number of threads
+  /// may predict on one trained selector at once — a published registry
+  /// snapshot is shared by every replica that serves it. Concurrent
+  /// prediction must not overlap with fit()/quantize() on the same object
+  /// (published models are never mutated again).
   Format predict(const Csr& a, SpOp op = SpOp::kSpmv) const;
 
   /// Index into candidates() instead of the Format enum.
@@ -105,14 +103,14 @@ class FormatSelector {
 
   /// CNN-ready representations of one matrix — the per-request work a
   /// serving layer runs in its client threads. Pure function of the matrix
-  /// and options; safe concurrently without the inference lock.
+  /// and options.
   std::vector<Tensor> prepare_inputs(const Csr& a) const;
 
   /// Argmax candidate indices for pre-built representations, one batched
-  /// forward pass. The micro-batching backend of serve::SelectionService.
-  /// `ws` optionally supplies the forward-pass scratch workspace (serve
-  /// workers keep one per thread so miss-path inference reuses warm
-  /// buffers); null falls back to the net's own.
+  /// forward pass (fp32 or int8). The micro-batching backend of
+  /// serve::SelectionService. `ws` supplies the batch packing and
+  /// forward-pass scratch (serve workers keep one each, so miss-path
+  /// inference reuses warm buffers); null uses the calling thread's.
   std::vector<std::int32_t> predict_prepared(
       const std::vector<std::vector<Tensor>>& prepared, Workspace* ws = nullptr,
       SpOp op = SpOp::kSpmv) const;
@@ -152,10 +150,10 @@ class FormatSelector {
   std::uint64_t model_version() const { return model_version_; }
 
   /// Deep copy of a trained selector: a fresh MergeNet with identical
-  /// architecture and weights and its own inference mutex. Because forward
-  /// passes are serialized per selector, N clones give N independent
-  /// inference lanes — the per-replica model copies of serve's
-  /// ReplicaRouter. O(#params); no retraining.
+  /// architecture and weights (and int8 plan). For callers that need an
+  /// owned, mutable model — training, publishing, the legacy one-selector
+  /// serving constructors; serving itself shares one immutable snapshot.
+  /// O(#params); no retraining.
   FormatSelector clone() const;
 
   /// Migrates this selector's model to a new platform's labels.
@@ -178,20 +176,15 @@ class FormatSelector {
   std::uint64_t model_version_ = 0;
   std::unique_ptr<MergeNet> net_;  // unique_ptr: MergeNet is move-averse
   // Optional SpMM head: same architecture over the same representations,
-  // trained on SpMM-measured labels. Shares the inference mutex (forward
-  // scratch is per-net, but keeping one lock keeps the serve worker model
-  // simple — at most one forward in flight per selector either way).
+  // trained on SpMM-measured labels.
   std::unique_ptr<MergeNet> spmm_net_;
   // Int8 inference state: the serializable weight set and the compiled
-  // executor over net_. Both null on fp32 selectors; rebuilt (never
-  // shared) on clone so every inference lane owns its scratch.
+  // executor over net_. Both null on fp32 selectors; rebuilt over the
+  // copy's net on clone.
   std::unique_ptr<QuantizedWeightSet> qws_;
   std::unique_ptr<QuantizedMergeNet> qnet_;
   std::unique_ptr<QuantizedWeightSet> spmm_qws_;
   std::unique_ptr<QuantizedMergeNet> spmm_qnet_;
-  // Serializes forward passes (MergeNet scratch is not re-entrant); in a
-  // unique_ptr so the selector stays movable.
-  std::unique_ptr<std::mutex> infer_mu_ = std::make_unique<std::mutex>();
 };
 
 }  // namespace dnnspmv

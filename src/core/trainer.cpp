@@ -36,50 +36,46 @@ struct TrainerObs {
 
 }  // namespace
 
-std::vector<Tensor> assemble_batch(const Dataset& data,
-                                   const std::vector<std::int32_t>& idx,
-                                   int net_inputs) {
-  DNNSPMV_CHECK(!idx.empty() && !data.samples.empty());
-  const auto& first = data.samples[static_cast<std::size_t>(idx[0])];
-  const int nsources = static_cast<int>(first.inputs.size());
+const std::vector<Tensor>& assemble_batch(
+    const std::vector<const std::vector<Tensor>*>& samples, int net_inputs,
+    Workspace& ws) {
+  DNNSPMV_CHECK(!samples.empty());
+  const std::vector<Tensor>& first = *samples[0];
+  const int nsources = static_cast<int>(first.size());
   DNNSPMV_CHECK_MSG(net_inputs == nsources || net_inputs == 1,
                     "cannot feed " << nsources << " sources into "
                                    << net_inputs << " towers");
-  const auto batch = static_cast<std::int64_t>(idx.size());
-
-  std::vector<Tensor> out;
-  if (net_inputs == nsources) {
-    // One tower per source: batch tensors [B, 1, H, W].
-    for (int s = 0; s < nsources; ++s) {
-      const auto& shape = first.inputs[static_cast<std::size_t>(s)].shape();
-      Tensor t({batch, 1, shape[0], shape[1]});
-      for (std::int64_t b = 0; b < batch; ++b) {
-        const Tensor& src =
-            data.samples[static_cast<std::size_t>(idx[b])]
-                .inputs[static_cast<std::size_t>(s)];
-        DNNSPMV_CHECK(src.shape() == shape);
-        std::copy(src.data(), src.data() + src.size(),
-                  t.data() + b * src.size());
-      }
-      out.push_back(std::move(t));
-    }
-  } else {
-    // Early merging: stack all sources as channels of one input.
-    const auto& shape = first.inputs[0].shape();
-    Tensor t({batch, nsources, shape[0], shape[1]});
-    const std::int64_t plane = shape[0] * shape[1];
-    for (std::int64_t b = 0; b < batch; ++b) {
-      for (int s = 0; s < nsources; ++s) {
-        const Tensor& src =
-            data.samples[static_cast<std::size_t>(idx[b])]
-                .inputs[static_cast<std::size_t>(s)];
-        DNNSPMV_CHECK(src.shape() == shape);
-        std::copy(src.data(), src.data() + plane,
-                  t.data() + (b * nsources + s) * plane);
-      }
-    }
-    out.push_back(std::move(t));
+  const auto batch = static_cast<std::int64_t>(samples.size());
+  // One tower per source: tensor s holds source s of every sample. Early
+  // merging: one tensor, sample b's sources at channels [b*S, b*S + S).
+  const bool stacked = net_inputs != nsources;
+  std::vector<Tensor>& out = ws.batch_inputs();
+  out.resize(static_cast<std::size_t>(net_inputs));
+  for (int t = 0; t < net_inputs; ++t) {
+    const auto& shape = first[static_cast<std::size_t>(t)].shape();
+    out[static_cast<std::size_t>(t)].ensure(
+        {batch, stacked ? nsources : 1, shape[0], shape[1]});
   }
+  for (std::int64_t b = 0; b < batch; ++b) {
+    for (int s = 0; s < nsources; ++s) {
+      const std::size_t t = stacked ? 0 : static_cast<std::size_t>(s);
+      const Tensor& src =
+          (*samples[static_cast<std::size_t>(b)])[static_cast<std::size_t>(s)];
+      DNNSPMV_CHECK(src.shape() == first[t].shape());
+      const std::int64_t c = stacked ? b * nsources + s : b;
+      std::copy(src.data(), src.data() + src.size(),
+                out[t].data() + c * src.size());
+    }
+  }
+  return out;
+}
+
+std::vector<const std::vector<Tensor>*> sample_inputs(
+    const Dataset& data, const std::vector<std::int32_t>& idx) {
+  std::vector<const std::vector<Tensor>*> out;
+  out.reserve(idx.size());
+  for (std::int32_t i : idx)
+    out.push_back(&data.samples.at(static_cast<std::size_t>(i)).inputs);
   return out;
 }
 
@@ -110,8 +106,8 @@ TrainHistory train_cnn(MergeNet& net, const Dataset& data, int net_inputs,
           std::min(order.size(), off + static_cast<std::size_t>(cfg.batch));
       const std::vector<std::int32_t> idx(order.begin() + off,
                                           order.begin() + end);
-      const std::vector<Tensor> inputs =
-          assemble_batch(data, idx, net_inputs);
+      const std::vector<Tensor>& inputs =
+          assemble_batch(sample_inputs(data, idx), net_inputs, ws);
       std::vector<std::int32_t> labels;
       labels.reserve(idx.size());
       for (std::int32_t i : idx)
@@ -140,9 +136,9 @@ TrainHistory train_cnn(MergeNet& net, const Dataset& data, int net_inputs,
   return hist;
 }
 
-std::vector<std::int32_t> predict_cnn(MergeNet& net, const Dataset& data,
-                                      int net_inputs, int batch,
-                                      Workspace* ws) {
+std::vector<std::int32_t> predict_cnn(const MergeNet& net, const Dataset& data,
+                                      int net_inputs, int batch) {
+  Workspace& ws = thread_workspace();
   std::vector<std::int32_t> pred;
   pred.reserve(data.samples.size());
   for (std::size_t off = 0; off < data.samples.size();
@@ -152,18 +148,16 @@ std::vector<std::int32_t> predict_cnn(MergeNet& net, const Dataset& data,
     std::vector<std::int32_t> idx;
     for (std::size_t i = off; i < end; ++i)
       idx.push_back(static_cast<std::int32_t>(i));
-    const std::vector<Tensor> inputs = assemble_batch(data, idx, net_inputs);
+    const std::vector<Tensor>& inputs =
+        assemble_batch(sample_inputs(data, idx), net_inputs, ws);
     Tensor logits;
-    if (ws)
-      net.forward(inputs, logits, /*training=*/false, *ws);
-    else
-      net.forward(inputs, logits, /*training=*/false);
+    net.forward(inputs, logits, /*training=*/false, ws);
     for (std::int32_t p : argmax_rows(logits)) pred.push_back(p);
   }
   return pred;
 }
 
-double accuracy_cnn(MergeNet& net, const Dataset& data, int net_inputs) {
+double accuracy_cnn(const MergeNet& net, const Dataset& data, int net_inputs) {
   const auto pred = predict_cnn(net, data, net_inputs);
   std::int64_t correct = 0;
   for (std::size_t i = 0; i < pred.size(); ++i)

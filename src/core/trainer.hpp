@@ -22,25 +22,31 @@ struct TrainHistory {
   std::vector<double> epoch_loss;  // mean loss per epoch
 };
 
-/// Builds the NCHW batch tensors for samples `idx`. When the network has a
-/// single tower but samples carry several sources (early merging), the
-/// sources are stacked as channels.
-std::vector<Tensor> assemble_batch(const Dataset& data,
-                                   const std::vector<std::int32_t>& idx,
-                                   int net_inputs);
+/// Packs samples — each one matrix's per-source representations — into
+/// the NCHW batch tensors ws.batch_inputs() and returns them: one
+/// [B, 1, H, W] tensor per source, or, when the network has a single tower
+/// but samples carry several sources (early merging), one [B, S, H, W]
+/// tensor with the sources stacked as channels. The tensors are reused by
+/// the next pack into the same Workspace.
+const std::vector<Tensor>& assemble_batch(
+    const std::vector<const std::vector<Tensor>*>& samples, int net_inputs,
+    Workspace& ws);
+
+/// The inputs of samples `idx` of `data`, in order: a dataset batch in
+/// assemble_batch's terms.
+std::vector<const std::vector<Tensor>*> sample_inputs(
+    const Dataset& data, const std::vector<std::int32_t>& idx);
 
 /// Trains in place with Adam; respects frozen parameters.
 TrainHistory train_cnn(MergeNet& net, const Dataset& data,
                        int net_inputs, const TrainConfig& cfg);
 
-/// Argmax predictions for every sample. `ws` optionally supplies the
-/// scratch workspace for the forward passes (serve workers pass a
-/// per-thread one); null falls back to the net's own.
-std::vector<std::int32_t> predict_cnn(MergeNet& net, const Dataset& data,
-                                      int net_inputs, int batch = 64,
-                                      Workspace* ws = nullptr);
+/// Argmax predictions for every sample, forwarded in batches of `batch`
+/// on the calling thread's workspace.
+std::vector<std::int32_t> predict_cnn(const MergeNet& net, const Dataset& data,
+                                      int net_inputs, int batch = 64);
 
 /// Fraction of samples predicted correctly.
-double accuracy_cnn(MergeNet& net, const Dataset& data, int net_inputs);
+double accuracy_cnn(const MergeNet& net, const Dataset& data, int net_inputs);
 
 }  // namespace dnnspmv

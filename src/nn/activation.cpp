@@ -2,7 +2,8 @@
 
 namespace dnnspmv {
 
-void ReLU::forward(const Tensor& in, Tensor& out, bool, Workspace&) {
+void ReLU::forward(const Tensor& in, Tensor& out, bool,
+                   Workspace&) const {
   out.ensure(in.shape());
   const std::int64_t n = in.size();
   const float* src = in.data();

@@ -50,7 +50,8 @@ std::vector<std::int64_t> Conv2D::output_shape(
   return {in[0], out_channels_, g.out_h(), g.out_w()};
 }
 
-void Conv2D::forward(const Tensor& in, Tensor& out, bool, Workspace& ws) {
+void Conv2D::forward(const Tensor& in, Tensor& out, bool,
+                     Workspace& ws) const {
   const ConvGeom g = geom(in.shape());
   const std::int64_t batch = in.dim(0);
   const std::int64_t opix = g.out_h() * g.out_w();

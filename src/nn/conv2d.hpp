@@ -23,7 +23,7 @@ class Conv2D final : public Layer {
   using Layer::forward;
   using Layer::backward;
   void forward(const Tensor& in, Tensor& out, bool training,
-               Workspace& ws) override;
+               Workspace& ws) const override;
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,
                 Tensor& grad_in, Workspace& ws) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }

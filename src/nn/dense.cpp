@@ -26,7 +26,8 @@ std::vector<std::int64_t> Dense::output_shape(
   return {in[0], out_features_};
 }
 
-void Dense::forward(const Tensor& in, Tensor& out, bool, Workspace&) {
+void Dense::forward(const Tensor& in, Tensor& out, bool,
+                    Workspace&) const {
   const auto os = output_shape(in.shape());
   out.ensure(os);
   const std::int64_t batch = in.dim(0);

@@ -3,31 +3,40 @@
 #include <algorithm>
 
 namespace dnnspmv {
+namespace {
+
+constexpr int kMaskSlot = 0;  // keep-scale per element of the last forward
+
+}  // namespace
 
 void Dropout::forward(const Tensor& in, Tensor& out, bool training,
-                      Workspace&) {
+                      Workspace& ws) const {
   out.ensure(in.shape());
   const std::int64_t n = in.size();
-  if (!training || rate_ == 0.0) {
+  if (!training) {
     std::copy(in.data(), in.data() + n, out.data());
-    mask_.assign(static_cast<std::size_t>(n), 1.0f);
+    return;
+  }
+  float* mask = ws.get(this, kMaskSlot, n);
+  if (rate_ == 0.0) {
+    std::fill(mask, mask + n, 1.0f);
+    std::copy(in.data(), in.data() + n, out.data());
     return;
   }
   const float keep_scale = static_cast<float>(1.0 / (1.0 - rate_));
-  mask_.resize(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
-    mask_[i] = rng_.bernoulli(rate_) ? 0.0f : keep_scale;
-    out[i] = in[i] * mask_[i];
+    mask[i] = rng_.bernoulli(rate_) ? 0.0f : keep_scale;
+    out[i] = in[i] * mask[i];
   }
 }
 
 void Dropout::backward(const Tensor& in, const Tensor&,
                        const Tensor& grad_out, Tensor& grad_in,
-                       Workspace&) {
+                       Workspace& ws) {
   grad_in.ensure(in.shape());
   const std::int64_t n = in.size();
-  DNNSPMV_CHECK(static_cast<std::int64_t>(mask_.size()) == n);
-  for (std::int64_t i = 0; i < n; ++i) grad_in[i] = grad_out[i] * mask_[i];
+  const float* mask = ws.get(this, kMaskSlot, n);
+  for (std::int64_t i = 0; i < n; ++i) grad_in[i] = grad_out[i] * mask[i];
 }
 
 }  // namespace dnnspmv

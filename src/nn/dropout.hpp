@@ -1,4 +1,7 @@
-// Inverted dropout: active only in training mode.
+// Inverted dropout: active only in training mode. The inference forward is
+// a plain copy; a training forward draws a keep mask into the Workspace,
+// where the matching backward reads it (a backward must follow a training
+// forward on the same Workspace).
 #pragma once
 
 #include "nn/layer.hpp"
@@ -14,7 +17,7 @@ class Dropout final : public Layer {
   using Layer::forward;
   using Layer::backward;
   void forward(const Tensor& in, Tensor& out, bool training,
-               Workspace& ws) override;
+               Workspace& ws) const override;
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,
                 Tensor& grad_in, Workspace& ws) override;
   std::string name() const override { return "dropout"; }
@@ -25,8 +28,9 @@ class Dropout final : public Layer {
 
  private:
   double rate_;
-  Rng rng_;
-  std::vector<float> mask_;  // keep-scale per element of the last forward
+  // Training-only state: mask draws advance it, inference never touches
+  // it. Training runs on a model no other thread is using.
+  mutable Rng rng_;
 };
 
 }  // namespace dnnspmv

@@ -12,7 +12,8 @@ std::vector<std::int64_t> Flatten::output_shape(
   return {in[0], f};
 }
 
-void Flatten::forward(const Tensor& in, Tensor& out, bool, Workspace&) {
+void Flatten::forward(const Tensor& in, Tensor& out, bool,
+                      Workspace&) const {
   out.ensure(output_shape(in.shape()));
   std::copy(in.data(), in.data() + in.size(), out.data());
 }

@@ -10,7 +10,7 @@ class Flatten final : public Layer {
   using Layer::forward;
   using Layer::backward;
   void forward(const Tensor& in, Tensor& out, bool training,
-               Workspace& ws) override;
+               Workspace& ws) const override;
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,
                 Tensor& grad_in, Workspace& ws) override;
   std::string name() const override { return "flatten"; }

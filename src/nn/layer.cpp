@@ -2,11 +2,6 @@
 
 namespace dnnspmv {
 
-Workspace& Layer::scratch() {
-  if (!scratch_) scratch_ = std::make_unique<Workspace>();
-  return *scratch_;
-}
-
 void zero_grads(const std::vector<Param*>& ps) {
   for (Param* p : ps) p->grad.zero();
 }

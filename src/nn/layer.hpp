@@ -8,15 +8,16 @@
 // "top evolvement" transfer-learning mode uses to pin the convolutional
 // towers while retraining the head (paper §6.2).
 //
-// Scratch memory (conv's im2col matrices, GEMM staging) comes from a
-// Workspace threaded through forward/backward, so repeated passes reuse the
-// same buffers instead of allocating. Containers (Sequential, MergeNet)
-// pass one workspace down their whole stack; the three/four-argument
-// convenience overloads fall back to a workspace owned by the layer itself.
+// Inference forwards are const: every buffer a pass writes — conv's
+// im2col matrices, GEMM staging, container activations, dropout masks —
+// comes from the caller's Workspace (nn/workspace.hpp), so one network
+// object can run concurrent forwards, one Workspace per thread. A training
+// forward leaves what the matching backward reads in the same Workspace;
+// backward is non-const (it accumulates parameter gradients). The
+// workspace-less convenience overloads use thread_workspace().
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,32 +37,32 @@ class Layer {
  public:
   Layer() = default;
   virtual ~Layer() = default;
-  // The fallback workspace is per-instance scratch, not state: copies
-  // start with a fresh (lazily created) one, moves carry it along.
-  Layer(const Layer&) {}
-  Layer& operator=(const Layer&) { return *this; }
+  Layer(const Layer&) = default;
+  Layer& operator=(const Layer&) = default;
   Layer(Layer&&) = default;
   Layer& operator=(Layer&&) = default;
 
   /// Computes out from in. `training` toggles train-only behaviour
-  /// (dropout); `ws` supplies scratch buffers reused across calls.
+  /// (dropout); `ws` supplies scratch buffers reused across calls and
+  /// receives whatever the matching backward needs.
   virtual void forward(const Tensor& in, Tensor& out, bool training,
-                       Workspace& ws) = 0;
+                       Workspace& ws) const = 0;
 
   /// Computes grad_in from grad_out and accumulates parameter gradients.
-  /// `in` and `out` are the tensors seen by the matching forward call.
+  /// `in` and `out` are the tensors seen by the matching forward call,
+  /// which ran on the same `ws`.
   virtual void backward(const Tensor& in, const Tensor& out,
                         const Tensor& grad_out, Tensor& grad_in,
                         Workspace& ws) = 0;
 
-  /// Convenience overloads using this layer's own fallback workspace.
+  /// Convenience overloads on the calling thread's workspace.
   /// (Derived classes re-expose them with `using Layer::forward;`.)
-  void forward(const Tensor& in, Tensor& out, bool training) {
-    forward(in, out, training, scratch());
+  void forward(const Tensor& in, Tensor& out, bool training) const {
+    forward(in, out, training, thread_workspace());
   }
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,
                 Tensor& grad_in) {
-    backward(in, out, grad_out, grad_in, scratch());
+    backward(in, out, grad_out, grad_in, thread_workspace());
   }
 
   virtual std::vector<Param*> params() { return {}; }
@@ -71,12 +72,6 @@ class Layer {
   /// Shape of the output batch given the input batch shape.
   virtual std::vector<std::int64_t> output_shape(
       const std::vector<std::int64_t>& in) const = 0;
-
-  /// Lazily created workspace for callers that don't thread one through.
-  Workspace& scratch();
-
- private:
-  std::unique_ptr<Workspace> scratch_;
 };
 
 /// Zeroes the gradients of every parameter in `ps`.

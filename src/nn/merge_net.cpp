@@ -23,6 +23,11 @@ obs::Histogram& backward_hist() {
   return h;
 }
 
+// Workspace tensor slots under the net's own address.
+constexpr int kMergedSlot = 0;    // concatenated tower outputs
+constexpr int kHeadOutSlot = 1;   // head output (the logits)
+constexpr int kTowerOutSlot = 2;  // + t: output of tower t
+
 }  // namespace
 
 Sequential& MergeNet::add_tower() {
@@ -30,68 +35,74 @@ Sequential& MergeNet::add_tower() {
   return *towers_.back();
 }
 
-void MergeNet::flatten_tower_outputs(Tensor& merged) {
-  const std::int64_t batch = tower_out_[0].dim(0);
-  std::int64_t total = 0;
-  std::vector<std::int64_t> feat(towers_.size());
-  for (std::size_t t = 0; t < towers_.size(); ++t) {
-    DNNSPMV_CHECK_MSG(tower_out_[t].dim(0) == batch,
-                      "tower batch mismatch");
-    feat[t] = tower_out_[t].size() / batch;
-    total += feat[t];
-  }
-  merged.resize({batch, total});
-  for (std::int64_t b = 0; b < batch; ++b) {
-    float* dst = merged.data() + b * total;
-    for (std::size_t t = 0; t < towers_.size(); ++t) {
-      const float* src = tower_out_[t].data() + b * feat[t];
-      std::copy(src, src + feat[t], dst);
-      dst += feat[t];
-    }
-  }
-}
-
-void MergeNet::forward(const std::vector<Tensor>& inputs, Tensor& logits,
-                       bool training) {
-  forward(inputs, logits, training, ws_);
-}
-
-void MergeNet::forward(const std::vector<Tensor>& inputs, Tensor& logits,
-                       bool training, Workspace& ws) {
-  obs::Span span("nn.forward", &forward_hist());
+void MergeNet::run_towers(const std::vector<Tensor>& inputs, Tensor& merged,
+                          bool training, Workspace& ws) const {
   DNNSPMV_CHECK_MSG(inputs.size() == towers_.size(),
                     "expected " << towers_.size() << " inputs, got "
                                 << inputs.size());
-  tower_out_.resize(towers_.size());
-  for (std::size_t t = 0; t < towers_.size(); ++t)
-    towers_[t]->forward(inputs[t], tower_out_[t], training, ws);
-  flatten_tower_outputs(merged_);
-  head_.forward(merged_, head_out_, training, ws);
-  logits = head_out_;
+  const std::int64_t batch = inputs[0].dim(0);
+  std::int64_t total = 0;
+  for (std::size_t t = 0; t < towers_.size(); ++t) {
+    Tensor& tout = ws.tensor(this, kTowerOutSlot + static_cast<int>(t));
+    towers_[t]->forward(inputs[t], tout, training, ws);
+    DNNSPMV_CHECK_MSG(tout.dim(0) == batch, "tower batch mismatch");
+    total += tout.size() / batch;
+  }
+  merged.ensure2(batch, total);
+  std::int64_t off = 0;
+  for (std::size_t t = 0; t < towers_.size(); ++t) {
+    const Tensor& tout =
+        ws.tensor(this, kTowerOutSlot + static_cast<int>(t));
+    const std::int64_t feat = tout.size() / batch;
+    for (std::int64_t b = 0; b < batch; ++b) {
+      const float* src = tout.data() + b * feat;
+      std::copy(src, src + feat, merged.data() + b * total + off);
+    }
+    off += feat;
+  }
+}
+
+void MergeNet::forward(const std::vector<Tensor>& inputs, Tensor& logits,
+                       bool training) const {
+  forward(inputs, logits, training, thread_workspace());
+}
+
+void MergeNet::forward(const std::vector<Tensor>& inputs, Tensor& logits,
+                       bool training, Workspace& ws) const {
+  obs::Span span("nn.forward", &forward_hist());
+  Tensor& merged = ws.tensor(this, kMergedSlot);
+  Tensor& head_out = ws.tensor(this, kHeadOutSlot);
+  run_towers(inputs, merged, training, ws);
+  head_.forward(merged, head_out, training, ws);
+  logits = head_out;
 }
 
 void MergeNet::backward(const std::vector<Tensor>& inputs,
                         const Tensor& grad_logits) {
-  backward(inputs, grad_logits, ws_);
+  backward(inputs, grad_logits, thread_workspace());
 }
 
 void MergeNet::backward(const std::vector<Tensor>& inputs,
                         const Tensor& grad_logits, Workspace& ws) {
   obs::Span span("nn.backward", &backward_hist());
+  const Tensor& merged = ws.tensor(this, kMergedSlot);
   Tensor grad_merged;
-  head_.backward(merged_, head_out_, grad_logits, grad_merged, ws);
+  head_.backward(merged, ws.tensor(this, kHeadOutSlot), grad_logits,
+                 grad_merged, ws);
 
-  const std::int64_t batch = merged_.dim(0);
-  const std::int64_t total = merged_.dim(1);
+  const std::int64_t batch = merged.dim(0);
+  const std::int64_t total = merged.dim(1);
   for (std::size_t t = 0, off = 0; t < towers_.size(); ++t) {
-    const std::int64_t feat = tower_out_[t].size() / batch;
-    Tensor gslice(tower_out_[t].shape());
+    const Tensor& tout =
+        ws.tensor(this, kTowerOutSlot + static_cast<int>(t));
+    const std::int64_t feat = tout.size() / batch;
+    Tensor gslice(tout.shape());
     for (std::int64_t b = 0; b < batch; ++b) {
       const float* src = grad_merged.data() + b * total + off;
       std::copy(src, src + feat, gslice.data() + b * feat);
     }
     Tensor gin;  // input gradient unused — inputs are data, not activations
-    towers_[t]->backward(inputs[t], tower_out_[t], gslice, gin, ws);
+    towers_[t]->backward(inputs[t], tout, gslice, gin, ws);
     off += static_cast<std::size_t>(feat);
   }
 }
@@ -114,17 +125,13 @@ void MergeNet::unfreeze_all() {
   head_.set_frozen(false);
 }
 
-void MergeNet::codes(const std::vector<Tensor>& inputs, Tensor& out) {
-  codes(inputs, out, ws_);
+void MergeNet::codes(const std::vector<Tensor>& inputs, Tensor& out) const {
+  codes(inputs, out, thread_workspace());
 }
 
 void MergeNet::codes(const std::vector<Tensor>& inputs, Tensor& out,
-                     Workspace& ws) {
-  DNNSPMV_CHECK(inputs.size() == towers_.size());
-  tower_out_.resize(towers_.size());
-  for (std::size_t t = 0; t < towers_.size(); ++t)
-    towers_[t]->forward(inputs[t], tower_out_[t], /*training=*/false, ws);
-  flatten_tower_outputs(out);
+                     Workspace& ws) const {
+  run_towers(inputs, out, /*training=*/false, ws);
 }
 
 }  // namespace dnnspmv

@@ -13,12 +13,12 @@
 // platform's labels (§6.2). The concatenated tower output is exactly what
 // the paper calls the "CNN codes" of a matrix.
 //
-// Thread safety: forward()/backward()/codes() share mutable per-forward
-// scratch (tower_out_, merged_, head_out_ and the Sequential activation
-// caches), so a MergeNet instance is NOT re-entrant — concurrent callers
-// must serialize. FormatSelector holds the inference mutex that makes its
-// predict paths safe (selector.hpp); anything driving a MergeNet directly
-// owes the same care.
+// Thread safety: forward() and codes() are const and write only to the
+// caller's Workspace (tower outputs, the merged codes, the head output and
+// every Sequential activation live there), so one MergeNet serves
+// concurrent forwards, one Workspace per thread. backward() reads what the
+// training forward left in the same Workspace and accumulates parameter
+// gradients — training runs on a net no other thread is using.
 #pragma once
 
 #include <memory>
@@ -44,13 +44,14 @@ class MergeNet {
   /// Forward pass over a batch; inputs[i] feeds tower i. All inputs must
   /// share the same batch dimension. Returns logits [batch, classes]. The
   /// Workspace overloads let callers (trainer, serve workers) supply their
-  /// own scratch; the plain ones fall back to a net-owned workspace.
+  /// own scratch; the plain ones use thread_workspace().
   void forward(const std::vector<Tensor>& inputs, Tensor& logits,
-               bool training);
+               bool training) const;
   void forward(const std::vector<Tensor>& inputs, Tensor& logits,
-               bool training, Workspace& ws);
+               bool training, Workspace& ws) const;
 
-  /// Backward from logits gradient; parameter gradients accumulate.
+  /// Backward from logits gradient; parameter gradients accumulate. `ws`
+  /// must be the Workspace the matching forward ran on.
   void backward(const std::vector<Tensor>& inputs, const Tensor& grad_logits);
   void backward(const std::vector<Tensor>& inputs, const Tensor& grad_logits,
                 Workspace& ws);
@@ -62,19 +63,20 @@ class MergeNet {
   void unfreeze_all();
 
   /// The concatenated flattened tower outputs for a batch ("CNN codes").
-  void codes(const std::vector<Tensor>& inputs, Tensor& out);
-  void codes(const std::vector<Tensor>& inputs, Tensor& out, Workspace& ws);
+  void codes(const std::vector<Tensor>& inputs, Tensor& out) const;
+  void codes(const std::vector<Tensor>& inputs, Tensor& out,
+             Workspace& ws) const;
 
  private:
-  void flatten_tower_outputs(Tensor& merged);
+  /// Runs every tower into its Workspace slot and concatenates the
+  /// flattened outputs into `merged`.
+  void run_towers(const std::vector<Tensor>& inputs, Tensor& merged,
+                  bool training, Workspace& ws) const;
 
+  // towers_ stays the first member: head_ must not share the MergeNet's
+  // address, since both key Workspace tensors by `this`.
   std::vector<std::unique_ptr<Sequential>> towers_;
   Sequential head_;
-  // Cached per-forward state for backward.
-  std::vector<Tensor> tower_out_;
-  Tensor merged_;
-  Tensor head_out_;
-  Workspace ws_;  // fallback scratch for the workspace-less overloads
 };
 
 }  // namespace dnnspmv

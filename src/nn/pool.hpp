@@ -1,4 +1,5 @@
-// 2×2-style max pooling (NCHW).
+// 2×2-style max pooling (NCHW). Stateless: forward keeps no argmax;
+// backward re-derives each window's maximum from the input it is handed.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -15,7 +16,7 @@ class MaxPool2D final : public Layer {
   using Layer::forward;
   using Layer::backward;
   void forward(const Tensor& in, Tensor& out, bool training,
-               Workspace& ws) override;
+               Workspace& ws) const override;
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,
                 Tensor& grad_in, Workspace& ws) override;
   std::string name() const override { return "maxpool2d"; }
@@ -23,15 +24,7 @@ class MaxPool2D final : public Layer {
       const std::vector<std::int64_t>& in) const override;
 
  private:
-  /// Fills argmax_ with the flat input offset of each window's maximum
-  /// (first occurrence in row-major window order, as forward records it).
-  void record_argmax(const Tensor& in, Tensor& out);
-
   std::int64_t k_, stride_;
-  std::vector<std::int32_t> argmax_;  // flat input offset of each max
-  // False after an inference forward (which skips the bookkeeping);
-  // backward then rebuilds argmax_ from the inputs before routing.
-  bool argmax_valid_ = false;
 };
 
 }  // namespace dnnspmv

@@ -20,6 +20,17 @@ namespace {
 
 constexpr std::uint32_t kQwsMagic = 0x31535751;  // "QWS1"
 
+// QuantizedMergeNet's Workspace slots under its own address: tensors
+// (inter-layer activations), floats (GEMM staging) and bytes (quantized
+// input and col matrix).
+constexpr int kPingSlot = 0;
+constexpr int kPongSlot = 1;
+constexpr int kMergedSlot = 2;
+constexpr int kTowerOutSlot = 3;  // + t: output of tower t
+constexpr int kMatSlot = 0;
+constexpr int kQinSlot = 0;
+constexpr int kQcolSlot = 1;
+
 template <typename T>
 void write_pod(std::ostream& os, const T& v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(T));
@@ -308,8 +319,7 @@ QuantizedWeightSet quantize_merge_net(
 // QuantizedMergeNet
 
 QuantizedMergeNet::QuantizedMergeNet(MergeNet& net,
-                                     const QuantizedWeightSet& qws)
-    : net_(&net) {
+                                     const QuantizedWeightSet& qws) {
   tower_plans_.resize(net.num_towers());
   std::size_t used = 0;
   for (std::size_t t = 0; t < net.num_towers(); ++t) {
@@ -325,7 +335,6 @@ QuantizedMergeNet::QuantizedMergeNet(MergeNet& net,
                      "quantized weight set has " << qws.layers.size()
                                                  << " layers, net consumed "
                                                  << used);
-  tower_out_.resize(net.num_towers());
 }
 
 void QuantizedMergeNet::compile(Sequential& seq, std::int32_t seq_id,
@@ -388,8 +397,9 @@ void QuantizedMergeNet::compile(Sequential& seq, std::int32_t seq_id,
   }
 }
 
-void QuantizedMergeNet::run_conv(Op& op, const Tensor& in, Tensor& out) {
-  Conv2D& c = *op.conv;
+void QuantizedMergeNet::run_conv(const Op& op, const Tensor& in, Tensor& out,
+                                 Workspace& ws) const {
+  const Conv2D& c = *op.conv;
   const ConvGeom g{c.in_channels(), in.dim(2),     in.dim(3),
                    c.kernel_size(), c.kernel_size(), c.stride(),
                    c.stride(),      c.padding(),     c.padding()};
@@ -400,68 +410,68 @@ void QuantizedMergeNet::run_conv(Op& op, const Tensor& in, Tensor& out) {
   const std::int64_t oc = c.out_channels();
   out.ensure({batch, oc, g.out_h(), g.out_w()});
 
-  qin_.resize(static_cast<std::size_t>(in.size()));
-  qcol_.resize(static_cast<std::size_t>(psz * ncols));
-  quantize_u7(in.data(), in.size(), op.act_inv_scale, op.act_zp,
-              qin_.data());
-  im2col_batch_u8(g, batch, qin_.data(), qcol_.data(),
-                  static_cast<std::uint8_t>(op.act_zp));
+  std::uint8_t* qin = ws.bytes(this, kQinSlot, in.size());
+  std::uint8_t* qcol = ws.bytes(this, kQcolSlot, psz * ncols);
+  quantize_u7(in.data(), in.size(), op.act_inv_scale, op.act_zp, qin);
+  im2col_batch_u8(g, batch, qin, qcol, static_cast<std::uint8_t>(op.act_zp));
   if (batch == 1) {
     // The [oc, opix] GEMM output IS the NCHW sample: dequantize straight
     // into the output tensor, no scatter pass — the cold-miss case.
-    qgemm_u7(op.packed, ncols, qcol_.data(), ncols, 1, op.out_scale.data(),
+    qgemm_u7(op.packed, ncols, qcol, ncols, 1, op.out_scale.data(),
              op.bias_eff.data(), op.relu, out.data(), ncols);
     return;
   }
-  mat_.resize(static_cast<std::size_t>(oc * ncols));
-  qgemm_u7(op.packed, ncols, qcol_.data(), ncols, 1, op.out_scale.data(),
-           op.bias_eff.data(), op.relu, mat_.data(), ncols);
+  float* mat = ws.get(this, kMatSlot, oc * ncols);
+  qgemm_u7(op.packed, ncols, qcol, ncols, 1, op.out_scale.data(),
+           op.bias_eff.data(), op.relu, mat, ncols);
   for (std::int64_t n = 0; n < batch; ++n)
     for (std::int64_t ch = 0; ch < oc; ++ch)
       std::memcpy(out.data() + (n * oc + ch) * opix,
-                  mat_.data() + ch * ncols + n * opix,
+                  mat + ch * ncols + n * opix,
                   static_cast<std::size_t>(opix) * sizeof(float));
 }
 
-void QuantizedMergeNet::run_dense(Op& op, const Tensor& in, Tensor& out) {
-  Dense& d = *op.dense;
+void QuantizedMergeNet::run_dense(const Op& op, const Tensor& in, Tensor& out,
+                                  Workspace& ws) const {
+  const Dense& d = *op.dense;
   const std::int64_t batch = in.dim(0);
   const std::int64_t in_f = d.in_features();
   const std::int64_t out_f = d.out_features();
   out.ensure2(batch, out_f);
 
-  qin_.resize(static_cast<std::size_t>(in.size()));
-  quantize_u7(in.data(), in.size(), op.act_inv_scale, op.act_zp,
-              qin_.data());
+  std::uint8_t* qin = ws.bytes(this, kQinSlot, in.size());
+  quantize_u7(in.data(), in.size(), op.act_inv_scale, op.act_zp, qin);
   // Compute C^T[out_f, batch] = Wq · Xq^T: depth stride 1 within a sample,
   // column (= batch) stride in_f. batch == 1 writes the output row direct.
   if (batch == 1) {
-    qgemm_u7(op.packed, 1, qin_.data(), 1, in_f, op.out_scale.data(),
+    qgemm_u7(op.packed, 1, qin, 1, in_f, op.out_scale.data(),
              op.bias_eff.data(), op.relu, out.data(), 1);
     return;
   }
-  mat_.resize(static_cast<std::size_t>(out_f * batch));
-  qgemm_u7(op.packed, batch, qin_.data(), 1, in_f, op.out_scale.data(),
-           op.bias_eff.data(), op.relu, mat_.data(), batch);
+  float* mat = ws.get(this, kMatSlot, out_f * batch);
+  qgemm_u7(op.packed, batch, qin, 1, in_f, op.out_scale.data(),
+           op.bias_eff.data(), op.relu, mat, batch);
   for (std::int64_t s = 0; s < batch; ++s)
     for (std::int64_t o = 0; o < out_f; ++o)
-      out.data()[s * out_f + o] = mat_[static_cast<std::size_t>(o * batch + s)];
+      out.data()[s * out_f + o] = mat[o * batch + s];
 }
 
-void QuantizedMergeNet::run(std::vector<Op>& plan, const Tensor& in,
-                            Tensor& out) {
+void QuantizedMergeNet::run(const std::vector<Op>& plan, const Tensor& in,
+                            Tensor& out, Workspace& ws) const {
+  Tensor& ping = ws.tensor(this, kPingSlot);
+  Tensor& pong = ws.tensor(this, kPongSlot);
   const Tensor* cur = &in;
-  for (Op& op : plan) {
-    Tensor& dst = (cur == &ping_) ? pong_ : ping_;
+  for (const Op& op : plan) {
+    Tensor& dst = (cur == &ping) ? pong : ping;
     switch (op.kind) {
       case Op::Kind::kLayer:
-        op.layer->forward(*cur, dst, /*training=*/false, ws_);
+        op.layer->forward(*cur, dst, /*training=*/false, ws);
         break;
       case Op::Kind::kConv:
-        run_conv(op, *cur, dst);
+        run_conv(op, *cur, dst, ws);
         break;
       case Op::Kind::kDense:
-        run_dense(op, *cur, dst);
+        run_dense(op, *cur, dst, ws);
         break;
     }
     cur = &dst;
@@ -470,26 +480,31 @@ void QuantizedMergeNet::run(std::vector<Op>& plan, const Tensor& in,
 }
 
 void QuantizedMergeNet::forward(const std::vector<Tensor>& inputs,
-                                Tensor& logits) {
+                                Tensor& logits, Workspace& ws) const {
   DNNSPMV_CHECK_ERRC(inputs.size() == tower_plans_.size(),
                      errc::invalid_argument,
                      "expected " << tower_plans_.size() << " inputs, got "
                                  << inputs.size());
-  for (std::size_t t = 0; t < tower_plans_.size(); ++t)
-    run(tower_plans_[t], inputs[t], tower_out_[t]);
   const std::int64_t batch = inputs[0].dim(0);
   std::int64_t feat = 0;
-  for (const Tensor& to : tower_out_) feat += to.size() / batch;
-  merged_.ensure2(batch, feat);
+  for (std::size_t t = 0; t < tower_plans_.size(); ++t) {
+    Tensor& tout = ws.tensor(this, kTowerOutSlot + static_cast<int>(t));
+    run(tower_plans_[t], inputs[t], tout, ws);
+    feat += tout.size() / batch;
+  }
+  Tensor& merged = ws.tensor(this, kMergedSlot);
+  merged.ensure2(batch, feat);
   std::int64_t off = 0;
-  for (const Tensor& to : tower_out_) {
-    const std::int64_t f = to.size() / batch;
+  for (std::size_t t = 0; t < tower_plans_.size(); ++t) {
+    const Tensor& tout =
+        ws.tensor(this, kTowerOutSlot + static_cast<int>(t));
+    const std::int64_t f = tout.size() / batch;
     for (std::int64_t s = 0; s < batch; ++s)
-      std::memcpy(merged_.data() + s * feat + off, to.data() + s * f,
+      std::memcpy(merged.data() + s * feat + off, tout.data() + s * f,
                   static_cast<std::size_t>(f) * sizeof(float));
     off += f;
   }
-  run(head_plan_, merged_, logits);
+  run(head_plan_, merged, logits, ws);
 }
 
 }  // namespace dnnspmv

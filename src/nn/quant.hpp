@@ -104,8 +104,8 @@ struct QLayer {
 };
 
 /// The serializable product of convert: plain data, no pointers into the
-/// net, copyable between clones. Rides the v2 weight-set format as a
-/// trailer block after the fp32 params (selector.cpp).
+/// net, copyable between clones. Rides the weight-set file as a trailer
+/// block after the fp32 params (selector.cpp).
 struct QuantizedWeightSet {
   std::vector<QLayer> layers;
 
@@ -131,28 +131,30 @@ QuantizedWeightSet quantize_merge_net(
     const QuantConfig& cfg = {});
 
 /// Compiled inference plan over a net + weight set. Holds pre-packed int8
-/// weight panels, fused per-layer epilogue data, and raw byte scratch, and
-/// points into the MergeNet for the layers that stay fp32 (pool, flatten).
-/// Construction validates the weight set against the net (layer kinds and
-/// shapes) and throws errc::data_error on mismatch.
+/// weight panels and fused per-layer epilogue data — immutable after
+/// construction — and points into the MergeNet for the layers that stay
+/// fp32 (pool, flatten). Construction validates the weight set against the
+/// net (layer kinds and shapes) and throws errc::data_error on mismatch.
 ///
-/// Thread safety: like MergeNet, an instance is NOT re-entrant — callers
-/// serialize (FormatSelector runs it under its inference mutex).
+/// Thread safety: like MergeNet, forward() is const and writes only to the
+/// caller's Workspace (activations, quantized inputs, GEMM staging), so one
+/// instance serves concurrent forwards, one Workspace per thread.
 class QuantizedMergeNet {
  public:
   QuantizedMergeNet(MergeNet& net, const QuantizedWeightSet& qws);
 
   /// Quantized forward: inputs[i] feeds tower i, logits [batch, classes].
-  void forward(const std::vector<Tensor>& inputs, Tensor& logits);
+  void forward(const std::vector<Tensor>& inputs, Tensor& logits,
+               Workspace& ws) const;
 
  private:
   struct Op {
     enum class Kind : std::uint8_t { kLayer, kConv, kDense };
     Kind kind = Kind::kLayer;
-    Layer* layer = nullptr;    // kLayer: run the fp32 forward
-    Conv2D* conv = nullptr;    // kConv
-    Dense* dense = nullptr;    // kDense
-    QGemmWeights packed;       // pre-packed int8 panels
+    const Layer* layer = nullptr;  // kLayer: run the fp32 forward
+    const Conv2D* conv = nullptr;  // kConv
+    const Dense* dense = nullptr;  // kDense
+    QGemmWeights packed;           // pre-packed int8 panels
     std::vector<float> out_scale;  // w_scale[i]·act_scale
     std::vector<float> bias_eff;   // bias[i] − out_scale[i]·zp·Σ Wq[i,:]
     float act_inv_scale = 1.0f;
@@ -162,18 +164,15 @@ class QuantizedMergeNet {
 
   void compile(Sequential& seq, std::int32_t seq_id,
                const QuantizedWeightSet& qws, std::vector<Op>& plan);
-  void run(std::vector<Op>& plan, const Tensor& in, Tensor& out);
-  void run_conv(Op& op, const Tensor& in, Tensor& out);
-  void run_dense(Op& op, const Tensor& in, Tensor& out);
+  void run(const std::vector<Op>& plan, const Tensor& in, Tensor& out,
+           Workspace& ws) const;
+  void run_conv(const Op& op, const Tensor& in, Tensor& out,
+                Workspace& ws) const;
+  void run_dense(const Op& op, const Tensor& in, Tensor& out,
+                 Workspace& ws) const;
 
-  MergeNet* net_;
   std::vector<std::vector<Op>> tower_plans_;
   std::vector<Op> head_plan_;
-  Workspace ws_;                    // scratch for the fp32 passthrough ops
-  Tensor ping_, pong_, merged_;     // inter-layer activations
-  std::vector<Tensor> tower_out_;
-  std::vector<std::uint8_t> qin_, qcol_;  // quantized input / col matrix
-  std::vector<float> mat_;                // GEMM staging (batch > 1)
 };
 
 }  // namespace dnnspmv

@@ -4,46 +4,41 @@
 
 namespace dnnspmv {
 
-void Sequential::ensure_span_names() {
-  if (span_fwd_.size() == layers_.size()) return;
-  span_fwd_.clear();
-  span_bwd_.clear();
-  for (const auto& l : layers_) {
-    span_fwd_.push_back("nn." + l->name() + ".fwd");
-    span_bwd_.push_back("nn." + l->name() + ".bwd");
-  }
+Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
+  span_fwd_.push_back("nn." + layer->name() + ".fwd");
+  span_bwd_.push_back("nn." + layer->name() + ".bwd");
+  layers_.push_back(std::move(layer));
+  return *this;
 }
 
 void Sequential::forward(const Tensor& in, Tensor& out, bool training,
-                         Workspace& ws) {
+                         Workspace& ws) const {
   DNNSPMV_CHECK_MSG(!layers_.empty(), "empty Sequential");
   const bool traced = obs::enabled();
-  if (traced) ensure_span_names();
-  acts_.resize(layers_.size());
   const Tensor* cur = &in;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     obs::Span span(traced ? std::string_view(span_fwd_[i])
                           : std::string_view());
-    layers_[i]->forward(*cur, acts_[i], training, ws);
-    cur = &acts_[i];
+    Tensor& act = ws.tensor(this, static_cast<int>(i));
+    layers_[i]->forward(*cur, act, training, ws);
+    cur = &act;
   }
-  out = acts_.back();
+  out = *cur;
 }
 
 void Sequential::backward(const Tensor& in, const Tensor&,
                           const Tensor& grad_out, Tensor& grad_in,
                           Workspace& ws) {
-  DNNSPMV_CHECK_MSG(acts_.size() == layers_.size(),
-                    "backward without matching forward");
   const bool traced = obs::enabled();
-  if (traced) ensure_span_names();
   Tensor grad = grad_out;
   Tensor next;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     obs::Span span(traced ? std::string_view(span_bwd_[i])
                           : std::string_view());
-    const Tensor& input = (i == 0) ? in : acts_[i - 1];
-    layers_[i]->backward(input, acts_[i], grad, next, ws);
+    const Tensor& input =
+        (i == 0) ? in : ws.tensor(this, static_cast<int>(i - 1));
+    layers_[i]->backward(input, ws.tensor(this, static_cast<int>(i)), grad,
+                         next, ws);
     grad = std::move(next);
     next = Tensor();
   }

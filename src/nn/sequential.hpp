@@ -1,8 +1,8 @@
-// Sequential container: a linear stack of layers with cached activations so
-// backward can replay the forward pass. One Workspace (the layer's own
-// fallback, or whatever the caller threads in) is shared by every layer in
-// the stack, so a whole forward/backward pass reuses one set of scratch
-// buffers.
+// Sequential container: a linear stack of layers. Activations live in the
+// caller's Workspace (slot i = output of layer i), where backward finds
+// them to replay the pass; one Workspace is shared by every layer in the
+// stack, so a whole forward/backward pass reuses one set of scratch
+// buffers and the container itself is never written by a forward.
 #pragma once
 
 #include <memory>
@@ -15,15 +15,11 @@ class Sequential final : public Layer {
  public:
   Sequential() = default;
 
-  Sequential& add(std::unique_ptr<Layer> layer) {
-    layers_.push_back(std::move(layer));
-    return *this;
-  }
+  Sequential& add(std::unique_ptr<Layer> layer);
 
   template <typename L, typename... Args>
   Sequential& emplace(Args&&... args) {
-    layers_.push_back(std::make_unique<L>(std::forward<Args>(args)...));
-    return *this;
+    return add(std::make_unique<L>(std::forward<Args>(args)...));
   }
 
   std::size_t num_layers() const { return layers_.size(); }
@@ -32,7 +28,7 @@ class Sequential final : public Layer {
   using Layer::forward;
   using Layer::backward;
   void forward(const Tensor& in, Tensor& out, bool training,
-               Workspace& ws) override;
+               Workspace& ws) const override;
   void backward(const Tensor& in, const Tensor& out, const Tensor& grad_out,
                 Tensor& grad_in, Workspace& ws) override;
   std::vector<Param*> params() override;
@@ -44,14 +40,9 @@ class Sequential final : public Layer {
   void set_frozen(bool frozen);
 
  private:
-  // Builds the cached per-layer span names ("nn.<layer>.fwd"/".bwd") the
-  // first traced pass needs; called only when obs tracing is enabled so
-  // untraced passes never pay the string work.
-  void ensure_span_names();
-
   std::vector<std::unique_ptr<Layer>> layers_;
-  std::vector<Tensor> acts_;  // activations: acts_[i] = output of layer i
-  std::vector<std::string> span_fwd_, span_bwd_;  // cached obs span names
+  // Per-layer obs span names ("nn.<layer>.fwd"/".bwd"), built by add().
+  std::vector<std::string> span_fwd_, span_bwd_;
 };
 
 }  // namespace dnnspmv

@@ -21,8 +21,6 @@ void read_pod(std::istream& is, T& v) {
   DNNSPMV_CHECK_MSG(is.good(), "truncated model file");
 }
 
-// Chosen to be impossible as a legacy file's first field: pre-header
-// selector files begin with a RepMode int32 (a small non-negative enum).
 constexpr std::uint32_t kWeightSetMagic = 0x57534D56;  // "VMSW"
 
 }  // namespace
@@ -34,26 +32,19 @@ void save_weight_set_header(std::ostream& os, const WeightSetHeader& h) {
   DNNSPMV_CHECK_MSG(os.good(), "weight-set header write failed");
 }
 
-bool read_weight_set_header(std::istream& is, WeightSetHeader& h) {
-  h = WeightSetHeader{};
-  const std::istream::pos_type start = is.tellg();
+WeightSetHeader read_weight_set_header(std::istream& is) {
+  WeightSetHeader h;
   std::uint32_t magic = 0;
   is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!is.good() || magic != kWeightSetMagic) {
-    // Legacy stream (or too short to hold a header): rewind untouched.
-    is.clear();
-    is.seekg(start);
-    return false;
-  }
+  DNNSPMV_CHECK_MSG(is.good() && magic == kWeightSetMagic,
+                    "not a weight-set file (no header)");
   read_pod(is, h.format_version);
-  // v1: header + fp32 params. v2 (PR 9): adds the quantize flag to the
-  // selector options block and an optional QuantizedWeightSet trailer.
-  // v3 (PR 10): adds the SpMM-head flag + spmm_cols to the options block
-  // and an optional second params (+ quant) section.
-  DNNSPMV_CHECK_MSG(h.format_version >= 1 && h.format_version <= 3,
-                    "unknown weight-set format version " << h.format_version);
+  DNNSPMV_CHECK_MSG(h.format_version == kWeightSetFormat,
+                    "unsupported weight-set format version "
+                        << h.format_version << " (expected "
+                        << kWeightSetFormat << ")");
   read_pod(is, h.model_version);
-  return true;
+  return h;
 }
 
 void save_params(std::ostream& os, const std::vector<Param*>& params) {

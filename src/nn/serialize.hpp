@@ -18,25 +18,24 @@ namespace dnnspmv {
 void save_params(std::ostream& os, const std::vector<Param*>& params);
 void load_params(std::istream& is, const std::vector<Param*>& params);
 
-/// Versioned weight-set header, prefixed to serialized models so a weight
-/// file keeps its ModelRegistry provenance across save/load.
-/// `format_version` versions the header layout itself; `model_version` is
-/// the registry version the weights were published as (0 = never
-/// published). Files written before this header existed start with a small
-/// enum field instead of the magic, so readers stay backward compatible
-/// via read_weight_set_header's rewind-on-miss.
+/// Weight-set header prefixed to serialized models, so a weight file keeps
+/// its ModelRegistry provenance across save/load. `format_version` versions
+/// the selector file layout (kWeightSetFormat is the only one written or
+/// read); `model_version` is the registry version the weights were
+/// published as (0 = never published).
+constexpr std::uint32_t kWeightSetFormat = 3;
+
 struct WeightSetHeader {
-  std::uint32_t format_version = 1;
+  std::uint32_t format_version = kWeightSetFormat;
   std::uint64_t model_version = 0;
 };
 
 void save_weight_set_header(std::ostream& os, const WeightSetHeader& h);
 
-/// Probes `is` for a weight-set header. When the stream starts with the
-/// header magic, consumes the header into `h` and returns true; otherwise
-/// rewinds to where it started and returns false (`h` reset to defaults
-/// with model_version 0 — the legacy-file interpretation).
-bool read_weight_set_header(std::istream& is, WeightSetHeader& h);
+/// Consumes the header at the start of `is`. Throws
+/// DnnspmvError(errc::data_error) unless the stream starts with a header of
+/// format kWeightSetFormat.
+WeightSetHeader read_weight_set_header(std::istream& is);
 
 void save_params_file(const std::string& path,
                       const std::vector<Param*>& params);

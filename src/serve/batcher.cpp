@@ -159,17 +159,20 @@ void Batcher::run() {
   Workspace ws;  // per-worker scratch, reused across every served batch
   std::vector<PredictRequest> batch;
   // Per-worker model snapshot. The staleness probe between batches is one
-  // relaxed atomic compare; adoption (clone of the published version) only
-  // runs when a publish actually happened. Holding the shared_ptr across
-  // serve_batch pins the version for the whole micro-batch.
+  // atomic load and compare against this worker's own snapshot (every
+  // worker adopts, not just the first to notice); adoption (a shared_ptr
+  // load of the published version) only runs when a publish actually
+  // happened. Holding the shared_ptr across serve_batch pins the version
+  // for the whole micro-batch.
   std::shared_ptr<const FormatSelector> model = models_.model();
   metrics_.record_model_version(model->model_version());
   while (true) {
     batch.clear();
     if (queue_.pop_batch(batch, max_batch_) == 0) return;
     metrics_.record_queue_depth(queue_.approx_size());
-    if (models_.stale()) {
+    if (model->model_version() != models_.registry().version()) {
       model = models_.model();
+      ws.clear();  // keyed by the old model's layers: drop, don't hoard
       metrics_.record_model_swap(model->model_version());
     }
     serve_batch(batch, ws, *model);

@@ -9,9 +9,9 @@
 // cache (so the next identical matrix never reaches the queue), and the
 // metrics block.
 //
-// Inference inside FormatSelector is internally serialized (see
-// selector.hpp), so multiple workers are safe; extra workers overlap their
-// batch-assembly and promise bookkeeping with each other's forwards.
+// Inference is const and re-entrant (selector.hpp): every worker forwards
+// through its own Workspace, so workers — of this service and of sibling
+// replicas serving the same snapshot — run their forwards concurrently.
 //
 // Robustness (ISSUE 5): requests whose deadline passed while queued are
 // failed with errc::deadline_exceeded at dequeue rather than served, and
@@ -23,8 +23,8 @@
 //
 // Model adoption (ISSUE 8): workers serve off a ModelSubscription instead
 // of a fixed selector. Between batches a worker runs the subscription's
-// lock-free staleness probe and adopts newly published versions; *within*
-// a batch the model is pinned — the worker holds the snapshot's
+// lock-free staleness probe and adopts the newly published snapshot (a
+// shared_ptr load, no copy); *within* a batch the model is pinned — the worker holds the snapshot's
 // shared_ptr across the forward pass, so a publish mid-batch never moves
 // the model under a running inference (RCU: the old version stays alive
 // until its last in-flight batch drops the reference). Cache entries are
@@ -59,7 +59,8 @@ class Batcher {
   /// Never throws: inference failures are forwarded to the waiting
   /// clients through their promises. Each run() owns one Workspace that
   /// every batch it serves reuses, so a worker thread's miss-path
-  /// inference stops allocating once shapes have been seen.
+  /// inference stops allocating once shapes have been seen; it is cleared
+  /// on adoption, since its buffers are keyed by the old model's layers.
   void run();
 
   /// Answers one popped batch on `model` (the version pinned for this

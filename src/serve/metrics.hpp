@@ -47,7 +47,7 @@ struct ServiceStats {
   std::uint64_t max_batch = 0;       // largest coalesced batch seen
   std::uint64_t cache_entries = 0;   // live cache entries at snapshot time
   std::uint64_t model_version = 0;   // registry version the workers serve
-  std::uint64_t model_swaps = 0;     // hot swaps adopted since start
+  std::uint64_t model_swaps = 0;     // hot swaps adopted, summed over workers
   std::array<std::uint64_t, kLatencyBuckets> latency{};  // bucket counts
   // Miss-path representation-build time (the serve.prepare_inputs work),
   // microsecond buckets like `latency`. Counts one observation per

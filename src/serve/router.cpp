@@ -187,8 +187,7 @@ ReplicaRouter::ReplicaRouter(std::unique_ptr<ModelRegistry> owned,
     if (i < opts_.injectors.size() && opts_.injectors[i])
       so.injector = opts_.injectors[i];
     // Every replica subscribes to the shared registry: one publication
-    // path, N independent inference lanes (each subscription adopts by
-    // clone — see core/model_registry.hpp).
+    // path, one shared model snapshot, N concurrent forwards.
     services_.push_back(std::make_unique<SelectionService>(registry_, so));
     depth_gauges_.push_back(&obs::MetricsRegistry::global().gauge(
         prefix_ + "replica" + std::to_string(i) + "_depth"));

@@ -1,8 +1,9 @@
 // ReplicaRouter — sharded, hedged serving tier above SelectionService.
 //
-// One SelectionService is one queue, one worker pool, one model instance
-// (forward passes serialize on the selector's inference mutex) — a ceiling
-// no amount of client threads moves. The router scales that out:
+// One SelectionService is one queue, one worker pool and one cache — a
+// ceiling no amount of client threads moves. The router scales that out
+// over replicas that all serve the registry's one shared, immutable
+// model snapshot:
 //
 //            client thread
 //            ─────────────
@@ -13,8 +14,8 @@
 //         ┌────────┴──────────┬──────────────────┐
 //      replica 0           replica 1    …     replica N-1
 //      registry subscriber registry subscriber   (one ModelRegistry is the
-//      (adopts published   (adopts published      tier's single publication
-//       versions by clone)  versions by clone)    path; hot swap per
+//      (adopts the shared  (adopts the shared     tier's single publication
+//       snapshot)           snapshot)             path; hot swap per
 //      own cache shard     own cache shard        replica, no restart)
 //      own bounded queue   own bounded queue
 //      workers pinned to   workers pinned to
@@ -140,10 +141,10 @@ struct RouterStats {
 class ReplicaRouter {
  public:
   /// All replicas subscribe to `registry` — one publication path for the
-  /// whole tier. Each replica's subscription still adopts by clone, so
-  /// inference lanes stay independent (see core/model_registry.hpp); a
-  /// publish hot-swaps every replica at its next batch boundary. The
-  /// registry must outlive the router.
+  /// whole tier. Every replica serves the registry's shared snapshot
+  /// (inference is re-entrant, see core/model_registry.hpp); a publish
+  /// hot-swaps every replica at its next batch boundary. The registry must
+  /// outlive the router.
   explicit ReplicaRouter(ModelRegistry& registry, RouterOptions opts = {});
 
   /// Legacy convenience: clones `selector` into a private owned registry

@@ -137,11 +137,11 @@ std::optional<std::future<std::int32_t>> SelectionService::answer_inline(
   {
     obs::Span span("serve.cache_probe");
     std::int32_t cached = 0;
-    // Probes are keyed under the version the workers have adopted: after
-    // a hot swap the key space moves and the old version's entries age
-    // out of the LRU on their own (no clear, no stale answers).
-    if (cache_.get(versioned_cache_key(fp, subscription_.version()),
-                   cached)) {
+    // Probes are keyed under the registry's newest version: after a
+    // publish every key misses once and is re-served by the new model;
+    // the old version's entries age out of the LRU on their own (no
+    // clear, no stale answers).
+    if (cache_.get(versioned_cache_key(fp, registry_.version()), cached)) {
       metrics_.record_hit();
       return ready_future(cached, AnswerSource::kCache, done);
     }

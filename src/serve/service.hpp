@@ -64,10 +64,12 @@
 //
 // Online learning (ISSUE 8): the service serves a ModelRegistry
 // subscription, not a fixed selector. Workers probe for newly published
-// versions between micro-batches (lock-free staleness check) and adopt by
-// cloning — no pause, in-flight batches finish on the version they
-// started with. Cache keys mix in the model version, so a swap never
-// serves a stale prediction and never needs a cache clear. When
+// versions between micro-batches (lock-free staleness check) and adopt the
+// registry's shared snapshot — no copy, no pause; in-flight batches finish
+// on the version they started with. Cache keys mix in the model version
+// and probes use the registry's newest one, so after a publish each hot
+// key misses once and is re-served by the new model: a swap never serves
+// a stale prediction and never needs a cache clear. When
 // ServiceOptions::feedback is set, a sampled fraction of cache misses is
 // probed (per-format measured SpMV times) and published to the feedback
 // stream — the data the OnlineTrainer fine-tunes on. The legacy

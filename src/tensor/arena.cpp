@@ -16,10 +16,10 @@ float* TensorArena::floats(const void* owner, int slot, std::int64_t size) {
   return buf.data();
 }
 
-std::int32_t* TensorArena::ints(const void* owner, int slot,
-                                std::int64_t size) {
+std::uint8_t* TensorArena::bytes(const void* owner, int slot,
+                                 std::int64_t size) {
   DNNSPMV_CHECK(size >= 0);
-  std::vector<std::int32_t>& buf = ints_[Key{owner, slot}];
+  std::vector<std::uint8_t>& buf = bytes_[Key{owner, slot}];
   if (buf.size() < static_cast<std::size_t>(size))
     buf.resize(static_cast<std::size_t>(size));
   return buf.data();
@@ -30,15 +30,14 @@ std::size_t TensorArena::bytes_held() const {
   for (const auto& [key, t] : tensors_)
     total += static_cast<std::size_t>(t.size()) * sizeof(float);
   for (const auto& [key, buf] : floats_) total += buf.size() * sizeof(float);
-  for (const auto& [key, buf] : ints_)
-    total += buf.size() * sizeof(std::int32_t);
+  for (const auto& [key, buf] : bytes_) total += buf.size();
   return total;
 }
 
 void TensorArena::clear() {
   tensors_.clear();
   floats_.clear();
-  ints_.clear();
+  bytes_.clear();
 }
 
 TensorArena& thread_arena() {

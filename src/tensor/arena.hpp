@@ -36,8 +36,8 @@ class TensorArena {
   /// Contents are unspecified.
   float* floats(const void* owner, int slot, std::int64_t size);
 
-  /// Raw int32 scratch of at least `size` elements for (owner, slot).
-  std::int32_t* ints(const void* owner, int slot, std::int64_t size);
+  /// Raw byte scratch of at least `size` bytes for (owner, slot).
+  std::uint8_t* bytes(const void* owner, int slot, std::int64_t size);
 
   /// Total bytes currently held across all buffers (steady-state tests
   /// assert this stops growing once shapes have been seen).
@@ -59,7 +59,7 @@ class TensorArena {
   };
   std::unordered_map<Key, Tensor, KeyHash> tensors_;
   std::unordered_map<Key, std::vector<float>, KeyHash> floats_;
-  std::unordered_map<Key, std::vector<std::int32_t>, KeyHash> ints_;
+  std::unordered_map<Key, std::vector<std::uint8_t>, KeyHash> bytes_;
 };
 
 /// The calling thread's arena (created on first use, process lifetime).

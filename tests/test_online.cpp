@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "common/error.hpp"
 #include "core/model_registry.hpp"
 #include "gen/corpus.hpp"
+#include "obs/trace.hpp"
 #include "perf/labels.hpp"
 #include "perf/platform.hpp"
 #include "serve/feedback.hpp"
@@ -190,7 +192,7 @@ TEST(Registry, QuantizationChangeIsRejectedAndQuantizedClonesServe) {
   EXPECT_THROW(reg.publish(p.selector.clone()), DnnspmvError);
   EXPECT_EQ(reg.publish(quant.clone()), 2u);
 
-  // Subscriptions clone the int8 inference path along with the weights.
+  // Subscriptions hand out the published int8 model itself.
   ModelSubscription sub(reg);
   const std::shared_ptr<const FormatSelector> snap = sub.model();
   ASSERT_TRUE(snap->quantized());
@@ -264,6 +266,94 @@ TEST(Registry, SwapUnderLoadServesEveryRequestAndSurfacesSwaps) {
   // serves; answers kept flowing throughout (no failed futures above).
   EXPECT_GT(s.model_swaps, 0u);
   EXPECT_GT(s.model_version, 1u);
+}
+
+TEST(Registry, PublishReachesAllHitTraffic) {
+  auto& p = pipeline();
+  ModelRegistry reg(p.selector.clone());
+  SelectionService svc(reg);
+  const Csr& a = p.corpus[0].matrix;
+  // Serves a once, reporting where the answer came from (the completion
+  // hook fires after the future is ready, so wait on the hook).
+  const auto serve = [&] {
+    auto source = std::make_shared<std::promise<AnswerSource>>();
+    std::future<AnswerSource> answered = source->get_future();
+    Request r;
+    r.matrix = &a;
+    r.done = [source](std::int32_t, AnswerSource s, std::exception_ptr) {
+      source->set_value(s);
+    };
+    svc.submit(std::move(r));
+    return answered.get();
+  };
+  EXPECT_EQ(serve(), AnswerSource::kCnn);    // cold: version 1 answers
+  EXPECT_EQ(serve(), AnswerSource::kCache);  // warm
+  ASSERT_EQ(reg.publish(p.selector.clone()), 2u);
+  // The warm key misses once and is re-served by the new version...
+  EXPECT_EQ(serve(), AnswerSource::kCnn);
+  const ServiceStats s = svc.snapshot();
+  EXPECT_EQ(s.model_version, 2u);
+  EXPECT_GE(s.model_swaps, 1u);
+  // ...whose answer then serves the hits.
+  EXPECT_EQ(serve(), AnswerSource::kCache);
+}
+
+TEST(Registry, SharedSnapshotForwardsAreReentrant) {
+  auto& p = pipeline();
+  // Both heads, fp32 and int8. The SpMM head trains on platform B's labels:
+  // any second label set gives a second, different net to forward.
+  FormatSelector both = p.selector.clone();
+  both.fit_spmm(p.labeled_b);
+  FormatSelector quant = both.clone();
+  const SelectorOptions& o = both.options();
+  quant.quantize(build_dataset(p.labeled_a, p.plat_a->formats(), o.mode,
+                               o.rep_rows, o.rep_bins, o.rep_sample_nnz));
+  ModelRegistry reg32(std::move(both));
+  ModelRegistry reg8(std::move(quant));
+  const std::shared_ptr<const FormatSelector> models[] = {reg32.current(),
+                                                          reg8.current()};
+
+  struct Case {
+    const FormatSelector* model;
+    SpOp op;
+    std::vector<std::vector<Tensor>> batch;
+    std::vector<std::int32_t> serial;
+  };
+  std::vector<Case> cases;
+  for (const auto& m : models)
+    for (const SpOp op : {SpOp::kSpmv, SpOp::kSpmm})
+      for (const std::size_t n : {1u, 16u}) {
+        Case c{m.get(), op, {}, {}};
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t k = (i * 5 + n) % p.corpus.size();
+          c.batch.push_back(m->prepare_inputs(p.corpus[k].matrix));
+        }
+        Workspace ws;
+        c.serial = m->predict_prepared(c.batch, &ws, op);
+        cases.push_back(std::move(c));
+      }
+
+  // Four threads forward every case on the shared snapshots: even threads
+  // through their own Workspace, odd ones through the thread fallback.
+  // The second phase traces, so Sequential's span names are read too.
+  std::atomic<int> mismatches{0};
+  for (const bool traced : {false, true}) {
+    obs::set_enabled(traced);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+      threads.emplace_back([&, t] {
+        Workspace own;
+        for (int it = 0; it < 3; ++it)
+          for (const Case& c : cases)
+            if (c.model->predict_prepared(c.batch, t % 2 ? nullptr : &own,
+                                          c.op) != c.serial)
+              ++mismatches;
+      });
+    for (std::thread& th : threads) th.join();
+  }
+  obs::set_enabled(false);
+  obs::clear_trace();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ------------------------------------------------------------- trainer

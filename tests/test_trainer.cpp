@@ -41,7 +41,8 @@ CnnSpec toy_spec() {
 
 TEST(AssembleBatch, LateMergeLayout) {
   const Dataset ds = make_toy_dataset(5, 1);
-  const auto batch = assemble_batch(ds, {0, 2, 4}, 2);
+  Workspace ws;
+  const auto& batch = assemble_batch(sample_inputs(ds, {0, 2, 4}), 2, ws);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].shape(), (std::vector<std::int64_t>{3, 1, 16, 16}));
   // Sample 2's source 1 lands at batch position 1 of input 1.
@@ -50,7 +51,8 @@ TEST(AssembleBatch, LateMergeLayout) {
 
 TEST(AssembleBatch, EarlyMergeStacksChannels) {
   const Dataset ds = make_toy_dataset(4, 2);
-  const auto batch = assemble_batch(ds, {1, 3}, 1);
+  Workspace ws;
+  const auto& batch = assemble_batch(sample_inputs(ds, {1, 3}), 1, ws);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].shape(), (std::vector<std::int64_t>{2, 2, 16, 16}));
   EXPECT_EQ(batch[0].at4(0, 1, 5, 5), ds.samples[1].inputs[1].at2(5, 5));
@@ -58,7 +60,9 @@ TEST(AssembleBatch, EarlyMergeStacksChannels) {
 
 TEST(AssembleBatch, RejectsImpossibleFanIn) {
   const Dataset ds = make_toy_dataset(2, 3);
-  EXPECT_THROW(assemble_batch(ds, {0}, 3), std::runtime_error);
+  Workspace ws;
+  EXPECT_THROW(assemble_batch(sample_inputs(ds, {0}), 3, ws),
+               std::runtime_error);
 }
 
 TEST(Trainer, LearnsToyTask) {
