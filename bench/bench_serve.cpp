@@ -53,11 +53,13 @@
 //                              run (swaps never drop or fail traffic);
 //   accept_swap_overhead_1pct— steady-state cached throughput with a
 //                              publisher hammering new versions is within
-//                              1% of the no-publish baseline (best-of-5,
-//                              after a discarded warm-up pair).
+//                              1% of the no-publish baseline (median of 5
+//                              interleaved pairs after a discarded warm-up
+//                              pair; IQR in the JSON).
 //
-// After the sweep, the best configuration is re-run with span tracing on
-// to measure the observability overhead (ISSUE 3 budget: <5%); BENCH_serve
+// After the sweep, the best configuration is re-run in 5 interleaved
+// pairs with span tracing off and on to measure the observability overhead
+// (budget: <5%, the median of the per-pair overheads); BENCH_serve
 // .json carries throughput, p50/p99 latency, hit rate, and that overhead.
 //
 // Overload scenario (ISSUE 5): a tiny queue, one worker slowed by the
@@ -85,17 +87,19 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "core/online.hpp"
 #include "gen/corpus.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "serve/fault.hpp"
 #include "serve/feedback.hpp"
+#include "serve/online.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
 
@@ -364,6 +368,43 @@ StragglerRun run_straggler(const FormatSelector& sel,
 }
 
 // Fraction of `labeled` whose measured-argmin label the selector hits.
+// Throughput cost of a switch (span tracing, a model publisher): `pairs`
+// off/on run pairs, alternating which arm goes first so slow drift in host
+// load hits both alike. Each pair yields one overhead 100·(1 − on/off);
+// the estimate is the median of those, reported with their interquartile
+// range. One lucky or unlucky run moves neither, where a best-of-N ratio
+// swings with it.
+struct PairedOverhead {
+  double off_req_s = 0.0;  // median of the off runs
+  double on_req_s = 0.0;   // median of the on runs
+  double pct = 0.0;        // median per-pair overhead, %
+  double q1_pct = 0.0;     // first quartile of the per-pair overheads
+  double q3_pct = 0.0;     // third quartile
+};
+
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+PairedOverhead paired_overhead(int pairs,
+                               const std::function<double(bool on)>& run) {
+  std::vector<double> off, on, pct;
+  for (int i = 0; i < pairs; ++i) {
+    const bool on_first = i % 2 == 1;
+    const double first = run(on_first);
+    const double second = run(!on_first);
+    off.push_back(on_first ? second : first);
+    on.push_back(on_first ? first : second);
+    pct.push_back(100.0 * (1.0 - on.back() / off.back()));
+  }
+  return {quantile(off, 0.5), quantile(on, 0.5), quantile(pct, 0.5),
+          quantile(pct, 0.25), quantile(pct, 0.75)};
+}
+
 double selector_accuracy(const FormatSelector& sel,
                          const std::vector<LabeledMatrix>& labeled) {
   std::size_t ok = 0;
@@ -538,10 +579,10 @@ int run_online_drift(BenchConfig cfg, const std::string& json_path) {
   // Hot-swap price at steady state: the same mostly-hit workload with a
   // publisher landing a new version every 2 s (an aggressive cadence for
   // an online fine-tune loop — rounds are gated on fresh feedback, which
-  // warm caches starve) vs. no publishes at all. A discarded warm-up pair
-  // then interleaved best-of-5: at a 1% gate, best-of-3 still loses to
-  // scheduler noise on a busy single-core host (~1.5% run-to-run swings).
-  // The fresh-matrix trickle keeps workers adopting (see
+  // warm caches starve) vs. no publishes at all. A discarded warm-up pair,
+  // then the median of 5 interleaved pairs (paired_overhead): best-of-5
+  // ratios swung from -6.3% to +11.8% between identical runs on a loaded
+  // 4-core host. The fresh-matrix trickle keeps workers adopting (see
   // run_swap_throughput).
   const Workload w = make_workload(on_b.corpus, 48, 100'000, cfg.seed);
   const std::vector<Csr> fresh_stream = [&] {
@@ -555,16 +596,12 @@ int run_online_drift(BenchConfig cfg, const std::string& json_path) {
       out.push_back(std::move(e.matrix));
     return out;
   }();
-  double quiet = 0.0, churn = 0.0;
   run_swap_throughput(registry, w, fresh_stream, 0);     // warm-up, discarded
   run_swap_throughput(registry, w, fresh_stream, 2000);  // warm-up, discarded
-  for (int i = 0; i < 5; ++i) {
-    quiet = std::max(quiet,
-                     run_swap_throughput(registry, w, fresh_stream, 0));
-    churn = std::max(churn,
-                     run_swap_throughput(registry, w, fresh_stream, 2000));
-  }
-  const double overhead_pct = 100.0 * (1.0 - churn / quiet);
+  const PairedOverhead swap = paired_overhead(5, [&](bool churn) {
+    return run_swap_throughput(registry, w, fresh_stream, churn ? 2000 : 0);
+  });
+  const double overhead_pct = swap.pct;
   const std::uint64_t churn_versions = registry.version();
 
   const bool met_recovery = recovered && versions <= kMaxVersions;
@@ -575,18 +612,21 @@ int run_online_drift(BenchConfig cfg, const std::string& json_path) {
               recovered ? "yes" : "NO", 100.0 * acc, 100.0 * fresh_acc,
               versions, submitted, 100.0 * availability);
   std::printf("hot-swap overhead: %.0f req/s quiet, %.0f req/s with "
-              "publish-every-2s churn (%.2f%%, %llu versions published)\n",
-              quiet, churn, overhead_pct,
-              static_cast<unsigned long long>(churn_versions));
+              "publish-every-2s churn (median of 5 pairs %.2f%%, IQR "
+              "[%.2f, %.2f]%%, %llu versions published)\n",
+              swap.off_req_s, swap.on_req_s, overhead_pct, swap.q1_pct,
+              swap.q3_pct, static_cast<unsigned long long>(churn_versions));
 
   json.field("final_accuracy_on_b", acc);
   json.field("versions_to_recover", versions);
   json.field("requests", static_cast<std::int64_t>(submitted));
   json.field("availability", availability);
   json.field("samples_consumed", trainer.consumed());
-  json.field("quiet_req_s", quiet);
-  json.field("churn_req_s", churn);
+  json.field("quiet_req_s", swap.off_req_s);
+  json.field("churn_req_s", swap.on_req_s);
   json.field("swap_overhead_pct", overhead_pct);
+  json.field("swap_overhead_q1_pct", swap.q1_pct);
+  json.field("swap_overhead_q3_pct", swap.q3_pct);
   json.field("churn_versions_published",
              static_cast<std::int64_t>(churn_versions));
   json.field("accept_drift_recovery", met_recovery);
@@ -720,25 +760,23 @@ int run(int argc, char** argv) {
   json.end_array();
 
   // Observability overhead: re-run the best configuration with span
-  // tracing on and off, best-of-3 each to shrug off scheduler noise.
-  auto best_of = [&](int reps) {
-    double best = 0.0;
-    for (int i = 0; i < reps; ++i)
-      best = std::max(best, run_service(sel, w, best_threads,
-                                        static_cast<std::size_t>(best_batch))
-                                .throughput);
-    return best;
-  };
-  const double untraced = best_of(3);
+  // tracing off and on, median of 5 interleaved pairs (paired_overhead).
   obs::clear_trace();
-  obs::set_enabled(true);
-  const double traced = best_of(3);
-  obs::set_enabled(false);
-  const double overhead_pct = 100.0 * (1.0 - traced / untraced);
+  const PairedOverhead tracing = paired_overhead(5, [&](bool traced) {
+    obs::set_enabled(traced);
+    const double req_s = run_service(sel, w, best_threads,
+                                     static_cast<std::size_t>(best_batch))
+                             .throughput;
+    obs::set_enabled(false);
+    return req_s;
+  });
+  const double overhead_pct = tracing.pct;
   const bool met_overhead = overhead_pct < 5.0;
   std::printf("\ntracing overhead at %d threads, batch %d: "
-              "%.0f req/s off, %.0f req/s on (%.2f%%)\n",
-              best_threads, best_batch, untraced, traced, overhead_pct);
+              "%.0f req/s off, %.0f req/s on (median of 5 pairs %.2f%%, "
+              "IQR [%.2f, %.2f]%%)\n",
+              best_threads, best_batch, tracing.off_req_s, tracing.on_req_s,
+              overhead_pct, tracing.q1_pct, tracing.q3_pct);
   if (!trace_path.empty()) {
     const std::int64_t n_events = obs::write_chrome_trace_file(trace_path);
     std::printf("wrote %lld trace events to %s (%llu dropped)\n",
@@ -752,9 +790,11 @@ int run(int argc, char** argv) {
   json.begin_object("traced");
   json.field("threads", best_threads);
   json.field("batch", best_batch);
-  json.field("untraced_req_s", untraced);
-  json.field("traced_req_s", traced);
+  json.field("untraced_req_s", tracing.off_req_s);
+  json.field("traced_req_s", tracing.on_req_s);
   json.field("overhead_pct", overhead_pct);
+  json.field("overhead_q1_pct", tracing.q1_pct);
+  json.field("overhead_q3_pct", tracing.q3_pct);
   json.end_object();
   // Overload scenario: availability must hold at 100% with the degraded
   // path soaking up what the saturated CNN path cannot serve in time.

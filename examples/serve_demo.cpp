@@ -37,7 +37,7 @@
 #include <thread>
 
 #include "common/cli.hpp"
-#include "core/online.hpp"
+#include "serve/online.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "perf/labels.hpp"

@@ -17,7 +17,7 @@
 //
 // Versions are immutable: a published FormatSelector is never trained or
 // mutated again; fine-tuning always builds a fresh network (see
-// core/online.hpp). Readers hold plain shared_ptr snapshots, so a version
+// serve/online.hpp). Readers hold plain shared_ptr snapshots, so a version
 // stays alive for as long as any in-flight batch still runs on it — the
 // RCU grace period is reference counting, no epochs, no quiescent states.
 //

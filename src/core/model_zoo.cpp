@@ -35,6 +35,15 @@ std::int64_t build_tower(Sequential& tower, std::int64_t ch, std::int64_t h,
   return out[1] * out[2] * out[3];
 }
 
+/// Appends Dense(h) → ReLU → Dropout → Dense(K) over `feat` codes.
+void build_head(Sequential& head, std::int64_t feat, const CnnSpec& spec,
+                Rng& rng) {
+  head.emplace<Dense>(feat, spec.head_hidden, rng);
+  head.emplace<ReLU>();
+  if (spec.dropout > 0.0) head.emplace<Dropout>(spec.dropout, rng.next_u64());
+  head.emplace<Dense>(spec.head_hidden, spec.num_classes, rng);
+}
+
 }  // namespace
 
 int num_net_inputs(const CnnSpec& spec) {
@@ -61,12 +70,16 @@ MergeNet build_cnn(const CnnSpec& spec) {
                        spec.input_hw[0][0], spec.input_hw[0][1], spec, rng);
     tower.emplace<Flatten>();
   }
-  net.head().emplace<Dense>(feat, spec.head_hidden, rng);
-  net.head().emplace<ReLU>();
-  if (spec.dropout > 0.0)
-    net.head().emplace<Dropout>(spec.dropout, rng.next_u64());
-  net.head().emplace<Dense>(spec.head_hidden, spec.num_classes, rng);
+  build_head(net.head(), feat, spec, rng);
   return net;
+}
+
+std::size_t add_cnn_head(MergeNet& net, const CnnSpec& spec) {
+  const auto* first = dynamic_cast<const Dense*>(&net.head().layer(0));
+  DNNSPMV_CHECK_MSG(first, "add_cnn_head on a net without a build_cnn head");
+  Rng rng(spec.seed);
+  build_head(net.add_head(), first->in_features(), spec, rng);
+  return net.num_heads() - 1;
 }
 
 }  // namespace dnnspmv

@@ -13,7 +13,7 @@
 //   Conv(3×3×c2, s2, pad 1) → ReLU → MaxPool2
 //   [Conv(3×3×c2, s2, pad 1) → ReLU → MaxPool2]   (only if H ≥ 128)
 //   Flatten
-// and the head is Dense(h) → ReLU → Dropout → Dense(K).
+// and each head is Dense(h) → ReLU → Dropout → Dense(K).
 #pragma once
 
 #include <array>
@@ -39,6 +39,11 @@ struct CnnSpec {
 /// Builds the network. For early merge the single tower takes
 /// input_hw.size() channels.
 MergeNet build_cnn(const CnnSpec& spec);
+
+/// Appends one more head shaped like build_cnn's (Dense(h) → ReLU →
+/// Dropout → Dense(K) over the same codes), initialized from spec.seed,
+/// and returns its index. The towers are untouched.
+std::size_t add_cnn_head(MergeNet& net, const CnnSpec& spec);
 
 /// Number of sources the built network's forward() expects (towers).
 int num_net_inputs(const CnnSpec& spec);

@@ -30,6 +30,28 @@ Dataset build_dataset(const std::vector<LabeledMatrix>& labeled,
   return ds;
 }
 
+namespace {
+
+// The net's head per op is the op's value: fit() trains head 0 for SpMV,
+// fit_spmm() adds head 1 for SpMM over the same tower codes.
+constexpr std::size_t head_of(SpOp op) { return static_cast<std::size_t>(op); }
+constexpr std::size_t kSpmmHead = head_of(SpOp::kSpmm);
+
+// Decorrelates the SpMM head's initialization from the SpMV head's.
+constexpr std::uint64_t kSpmmSeedTag = 0x5b4d4dULL;  // "SpMM"-ish tag
+
+template <typename T>
+void write_pod(std::ostream& os, const T& v) {
+  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+template <typename T>
+void read_pod(std::istream& is, T& v) {
+  is.read(reinterpret_cast<char*>(&v), sizeof(T));
+}
+
+}  // namespace
+
 FormatSelector::FormatSelector(SelectorOptions opts)
     : opts_(std::move(opts)),
       rep_builder_({opts_.mode, opts_.rep_rows, opts_.rep_bins,
@@ -50,55 +72,67 @@ CnnSpec FormatSelector::make_spec() const {
   return spec;
 }
 
+std::unique_ptr<MergeNet> FormatSelector::build_net(std::size_t heads) const {
+  auto net = std::make_unique<MergeNet>(build_cnn(make_spec()));
+  if (heads > kSpmmHead) {
+    CnnSpec spec = make_spec();
+    spec.seed ^= kSpmmSeedTag;
+    add_cnn_head(*net, spec);
+  }
+  return net;
+}
+
 void FormatSelector::fit(const std::vector<LabeledMatrix>& labeled,
                          std::vector<Format> candidates) {
   candidates_ = std::move(candidates);
-  const Dataset ds =
-      build_dataset(labeled, candidates_, opts_.mode, opts_.rep_rows,
-                    opts_.rep_bins, opts_.rep_sample_nnz);
-  const CnnSpec spec = make_spec();
-  net_ = std::make_unique<MergeNet>(build_cnn(spec));
-  train_cnn(*net_, ds, num_net_inputs(spec), opts_.train);
-  if (opts_.quantize) quantize(ds);
+  fit(build_dataset(labeled, candidates_, opts_.mode, opts_.rep_rows,
+                    opts_.rep_bins, opts_.rep_sample_nnz));
 }
 
 void FormatSelector::fit(const Dataset& train) {
   DNNSPMV_CHECK(!train.samples.empty());
   candidates_ = train.candidates;
-  const CnnSpec spec = make_spec();
-  net_ = std::make_unique<MergeNet>(build_cnn(spec));
-  train_cnn(*net_, train, num_net_inputs(spec), opts_.train);
+  net_ = build_net(1);
+  train_cnn(*net_, train, num_net_inputs(make_spec()), opts_.train);
   if (opts_.quantize) quantize(train);
 }
 
 void FormatSelector::fit_spmm(const std::vector<LabeledMatrix>& labeled) {
   DNNSPMV_CHECK_MSG(net_, "fit_spmm before fit: the SpMV head defines the "
                           "candidate set and representation geometry");
-  const Dataset ds =
-      build_dataset(labeled, candidates_, opts_.mode, opts_.rep_rows,
-                    opts_.rep_bins, opts_.rep_sample_nnz);
-  fit_spmm(ds);
+  fit_spmm(build_dataset(labeled, candidates_, opts_.mode, opts_.rep_rows,
+                         opts_.rep_bins, opts_.rep_sample_nnz));
 }
 
 void FormatSelector::fit_spmm(const Dataset& train) {
   DNNSPMV_CHECK_MSG(net_, "fit_spmm before fit: the SpMV head defines the "
                           "candidate set and representation geometry");
+  DNNSPMV_CHECK_MSG(!supports(SpOp::kSpmm),
+                    "fit_spmm twice: the SpMM head is fitted once per fit()");
   DNNSPMV_CHECK(!train.samples.empty());
   DNNSPMV_CHECK_MSG(train.candidates == candidates_,
                     "SpMM labels must use the SpMV head's candidate formats");
   CnnSpec spec = make_spec();
-  // Decorrelate the two heads' initializations; identical seeds would give
-  // identical nets whenever the label sets happen to agree.
-  spec.seed = opts_.train.seed ^ 0x5b4d4dULL;  // "SpMM"-ish tag
-  spmm_net_ = std::make_unique<MergeNet>(build_cnn(spec));
-  train_cnn(*spmm_net_, train, num_net_inputs(spec), opts_.train);
-  // Keep the both-heads-quantized-or-neither invariant: a quantized
-  // selector gaining an SpMM head quantizes it on its own training slice.
-  if (qws_ || opts_.quantize) quantize_spmm(train);
+  spec.seed ^= kSpmmSeedTag;
+  add_cnn_head(*net_, spec);
+  // Top evolvement onto the SpMM labels: the towers' codes (and the SpMV
+  // head that reads them) stay exactly as fit() left them.
+  net_->freeze_towers(kSpmmHead);
+  train_cnn(*net_, train, num_net_inputs(spec), opts_.train, kSpmmHead);
+  net_->unfreeze_all();
+  // A quantized selector stays quantized: the new head is calibrated on its
+  // own training slice and only its records are appended, so the tower and
+  // SpMV-head records stay byte-identical.
+  if (qws_) {
+    for (QLayer& l :
+         quantize_merge_net(*net_, calib_batches(train), opts_.quant).layers)
+      if (l.seq == head_seq_id(kSpmmHead)) qws_->layers.push_back(std::move(l));
+    qnet_ = std::make_unique<QuantizedMergeNet>(*net_, *qws_);
+  }
 }
 
 bool FormatSelector::supports(SpOp op) const {
-  return op == SpOp::kSpmv ? net_ != nullptr : spmm_net_ != nullptr;
+  return net_ != nullptr && head_of(op) < net_->num_heads();
 }
 
 std::vector<std::vector<Tensor>> FormatSelector::calib_batches(
@@ -123,22 +157,12 @@ void FormatSelector::quantize(const Dataset& calib) {
   DNNSPMV_CHECK_MSG(net_, "quantize an untrained FormatSelector");
   DNNSPMV_CHECK_MSG(!calib.samples.empty(),
                     "quantize needs a calibration dataset");
-  const std::vector<std::vector<Tensor>> batches = calib_batches(calib);
+  // Representations are op-independent, so one calibration slice
+  // exercises the towers and every head.
   qws_ = std::make_unique<QuantizedWeightSet>(
-      quantize_merge_net(*net_, batches, opts_.quant));
+      quantize_merge_net(*net_, calib_batches(calib), opts_.quant));
   qnet_ = std::make_unique<QuantizedMergeNet>(*net_, *qws_);
   opts_.quantize = true;
-  // Representations are op-independent, so the same calibration batches
-  // exercise the SpMM head's activation ranges.
-  if (spmm_net_) quantize_spmm(calib);
-}
-
-void FormatSelector::quantize_spmm(const Dataset& calib) {
-  DNNSPMV_CHECK(spmm_net_ && !calib.samples.empty());
-  const std::vector<std::vector<Tensor>> batches = calib_batches(calib);
-  spmm_qws_ = std::make_unique<QuantizedWeightSet>(
-      quantize_merge_net(*spmm_net_, batches, opts_.quant));
-  spmm_qnet_ = std::make_unique<QuantizedMergeNet>(*spmm_net_, *spmm_qws_);
 }
 
 std::vector<Tensor> FormatSelector::prepare_inputs(const Csr& a) const {
@@ -149,26 +173,37 @@ std::vector<Tensor> FormatSelector::prepare_inputs(const Csr& a) const {
 std::vector<std::int32_t> FormatSelector::predict_prepared(
     const std::vector<std::vector<Tensor>>& prepared, Workspace* ws,
     SpOp op) const {
+  return predict_prepared(prepared, std::vector<SpOp>(prepared.size(), op),
+                          ws);
+}
+
+std::vector<std::int32_t> FormatSelector::predict_prepared(
+    const std::vector<std::vector<Tensor>>& prepared,
+    const std::vector<SpOp>& ops, Workspace* ws) const {
   DNNSPMV_CHECK_MSG(net_, "predict on an untrained FormatSelector");
-  DNNSPMV_CHECK_MSG(op == SpOp::kSpmv || spmm_net_,
-                    "predict(kSpmm) on a selector without an SpMM head "
-                    "(fit_spmm was never called)");
+  DNNSPMV_CHECK(ops.size() == prepared.size());
   if (prepared.empty()) return {};
+  std::vector<std::int32_t> heads;
+  heads.reserve(ops.size());
+  for (const SpOp op : ops) {
+    DNNSPMV_CHECK_MSG(supports(op),
+                      "predict(kSpmm) on a selector without an SpMM head "
+                      "(fit_spmm was never called)");
+    heads.push_back(static_cast<std::int32_t>(head_of(op)));
+  }
   Workspace& w = ws ? *ws : thread_workspace();
   std::vector<const std::vector<Tensor>*> samples;
   samples.reserve(prepared.size());
   for (const std::vector<Tensor>& inputs : prepared) samples.push_back(&inputs);
-  // One forward over the whole batch, fp32 or int8.
+  // One tower pass over the whole batch, fp32 or int8; each head then
+  // classifies only its own op's rows.
   const std::vector<Tensor>& inputs =
       assemble_batch(samples, num_net_inputs(make_spec()), w);
-  const QuantizedMergeNet* qnet =
-      op == SpOp::kSpmv ? qnet_.get() : spmm_qnet_.get();
   Tensor logits;
-  if (qnet)
-    qnet->forward(inputs, logits, w);
+  if (qnet_)
+    qnet_->forward(inputs, heads, logits, w);
   else
-    (op == SpOp::kSpmv ? net_ : spmm_net_)
-        ->forward(inputs, logits, /*training=*/false, w);
+    net_->forward(inputs, heads, logits, w);
   return argmax_rows(logits);
 }
 
@@ -220,25 +255,13 @@ FormatSelector FormatSelector::clone() const {
   out.candidates_ = candidates_;
   // Clones carry the weight set's registry version.
   out.model_version_ = model_version_;
-  out.net_ = std::make_unique<MergeNet>(build_cnn(out.make_spec()));
-  copy_params(const_cast<MergeNet&>(*net_).params(), out.net_->params());
+  out.net_ = out.build_net(net_->num_heads());
+  copy_params(net_->params(), out.net_->params());
   if (qws_) {
     // The weight set is pure data; the executor is rebuilt over the
     // clone's net, which its fp32 passthrough ops point into.
     out.qws_ = std::make_unique<QuantizedWeightSet>(*qws_);
     out.qnet_ = std::make_unique<QuantizedMergeNet>(*out.net_, *out.qws_);
-  }
-  if (spmm_net_) {
-    CnnSpec spec = out.make_spec();
-    spec.seed = opts_.train.seed ^ 0x5b4d4dULL;
-    out.spmm_net_ = std::make_unique<MergeNet>(build_cnn(spec));
-    copy_params(const_cast<MergeNet&>(*spmm_net_).params(),
-                out.spmm_net_->params());
-    if (spmm_qws_) {
-      out.spmm_qws_ = std::make_unique<QuantizedWeightSet>(*spmm_qws_);
-      out.spmm_qnet_ =
-          std::make_unique<QuantizedMergeNet>(*out.spmm_net_, *out.spmm_qws_);
-    }
   }
   return out;
 }
@@ -252,25 +275,15 @@ FormatSelector FormatSelector::migrate(MigrationMethod method,
   FormatSelector out(opts_);
   out.opts_.train = cfg;
   out.candidates_ = candidates_;
+  // target_train holds SpMV labels, so only the SpMV head retrains; an
+  // SpMM head rides along bitwise, which is why a two-head selector
+  // migrates by top evolvement only (migrate_model throws otherwise).
   out.net_ = std::make_unique<MergeNet>(
       migrate_model(make_spec(), *net_, method, target_train, cfg));
-  // The SpMM head rides migration as a weight copy: target_train holds
-  // SpMV labels, so fine-tuning the SpMM head on it would erase what makes
-  // the head different. Carrying it means a migrated/online-published
-  // model still answers both ops (ModelRegistry checks op support).
-  if (spmm_net_) {
-    CnnSpec spec = out.make_spec();
-    spec.seed = opts_.train.seed ^ 0x5b4d4dULL;
-    out.spmm_net_ = std::make_unique<MergeNet>(build_cnn(spec));
-    copy_params(const_cast<MergeNet&>(*spmm_net_).params(),
-                out.spmm_net_->params());
-  }
   // Re-quantize on the migration target: the fine-tuned weights get fresh
   // scales and the calibration distribution matches the data the migrated
   // model will serve. This is what keeps online publishes quantized —
   // OnlineTrainer migrates onto its replay dataset before every publish.
-  // (quantize() covers the SpMM head too — representations are
-  // op-independent, so the calibration batches are valid for both.)
   if (out.opts_.quantize) out.quantize(target_train);
   return out;
 }
@@ -279,37 +292,23 @@ void FormatSelector::save(const std::string& path) const {
   DNNSPMV_CHECK_MSG(net_, "save of an untrained FormatSelector");
   std::ofstream os(path, std::ios::binary);
   DNNSPMV_CHECK_MSG(os.is_open(), "cannot open " << path << " for write");
-  // The header carries the registry version the weights were published
-  // as, so a reloaded model keeps its provenance. The options block holds
-  // the quantize flag and the SpMM-head flag + K; the optional int8 weight
-  // set and SpMM-head params trail the SpMV head's params.
+  // Header (with the registry version the weights were published as, so a
+  // reloaded model keeps its provenance), options, candidates, the whole
+  // net's params — towers, then every head — and the int8 weight set when
+  // quantized.
   save_weight_set_header(os, WeightSetHeader{.model_version = model_version_});
-  const auto mode = static_cast<std::int32_t>(opts_.mode);
-  os.write(reinterpret_cast<const char*>(&mode), sizeof(mode));
-  os.write(reinterpret_cast<const char*>(&opts_.rep_rows), sizeof(opts_.rep_rows));
-  os.write(reinterpret_cast<const char*>(&opts_.rep_bins), sizeof(opts_.rep_bins));
-  os.write(reinterpret_cast<const char*>(&opts_.rep_sample_nnz),
-           sizeof(opts_.rep_sample_nnz));
-  const std::int32_t late = opts_.late_merge ? 1 : 0;
-  os.write(reinterpret_cast<const char*>(&late), sizeof(late));
-  const std::int32_t quant = qws_ ? 1 : 0;
-  os.write(reinterpret_cast<const char*>(&quant), sizeof(quant));
-  const std::int32_t has_spmm = spmm_net_ ? 1 : 0;
-  os.write(reinterpret_cast<const char*>(&has_spmm), sizeof(has_spmm));
-  os.write(reinterpret_cast<const char*>(&opts_.spmm_cols),
-           sizeof(opts_.spmm_cols));
-  const auto ncand = static_cast<std::int32_t>(candidates_.size());
-  os.write(reinterpret_cast<const char*>(&ncand), sizeof(ncand));
-  for (Format f : candidates_) {
-    const auto fi = static_cast<std::int32_t>(f);
-    os.write(reinterpret_cast<const char*>(&fi), sizeof(fi));
-  }
-  save_params(os, const_cast<MergeNet&>(*net_).params());
+  write_pod(os, static_cast<std::int32_t>(opts_.mode));
+  write_pod(os, opts_.rep_rows);
+  write_pod(os, opts_.rep_bins);
+  write_pod(os, opts_.rep_sample_nnz);
+  write_pod(os, static_cast<std::int32_t>(opts_.late_merge ? 1 : 0));
+  write_pod(os, static_cast<std::int32_t>(qws_ ? 1 : 0));
+  write_pod(os, static_cast<std::int32_t>(net_->num_heads()));
+  write_pod(os, opts_.spmm_cols);
+  write_pod(os, static_cast<std::int32_t>(candidates_.size()));
+  for (Format f : candidates_) write_pod(os, static_cast<std::int32_t>(f));
+  save_params(os, net_->params());
   if (qws_) qws_->save(os);
-  if (spmm_net_) {
-    save_params(os, const_cast<MergeNet&>(*spmm_net_).params());
-    if (spmm_qws_) spmm_qws_->save(os);
-  }
 }
 
 FormatSelector FormatSelector::load(const std::string& path) {
@@ -317,29 +316,29 @@ FormatSelector FormatSelector::load(const std::string& path) {
   DNNSPMV_CHECK_MSG(is.is_open(), "cannot open " << path);
   SelectorOptions opts;
   const WeightSetHeader header = read_weight_set_header(is);
-  std::int32_t mode = 0, late = 0, ncand = 0, quant = 0, has_spmm = 0;
-  is.read(reinterpret_cast<char*>(&mode), sizeof(mode));
-  is.read(reinterpret_cast<char*>(&opts.rep_rows), sizeof(opts.rep_rows));
-  is.read(reinterpret_cast<char*>(&opts.rep_bins), sizeof(opts.rep_bins));
-  is.read(reinterpret_cast<char*>(&opts.rep_sample_nnz),
-          sizeof(opts.rep_sample_nnz));
-  is.read(reinterpret_cast<char*>(&late), sizeof(late));
-  is.read(reinterpret_cast<char*>(&quant), sizeof(quant));
-  is.read(reinterpret_cast<char*>(&has_spmm), sizeof(has_spmm));
-  is.read(reinterpret_cast<char*>(&opts.spmm_cols), sizeof(opts.spmm_cols));
-  is.read(reinterpret_cast<char*>(&ncand), sizeof(ncand));
-  DNNSPMV_CHECK_MSG(is.good() && ncand >= 2, "corrupt selector file");
+  std::int32_t mode = 0, late = 0, quant = 0, heads = 0, ncand = 0;
+  read_pod(is, mode);
+  read_pod(is, opts.rep_rows);
+  read_pod(is, opts.rep_bins);
+  read_pod(is, opts.rep_sample_nnz);
+  read_pod(is, late);
+  read_pod(is, quant);
+  read_pod(is, heads);
+  read_pod(is, opts.spmm_cols);
+  read_pod(is, ncand);
+  DNNSPMV_CHECK_MSG(is.good() && ncand >= 2 && heads >= 1 && heads <= 2,
+                    "corrupt selector file");
   opts.mode = static_cast<RepMode>(mode);
   opts.late_merge = late != 0;
   opts.quantize = quant != 0;
   FormatSelector sel(opts);
   for (std::int32_t i = 0; i < ncand; ++i) {
     std::int32_t fi = 0;
-    is.read(reinterpret_cast<char*>(&fi), sizeof(fi));
+    read_pod(is, fi);
     sel.candidates_.push_back(static_cast<Format>(fi));
   }
   sel.model_version_ = header.model_version;
-  sel.net_ = std::make_unique<MergeNet>(build_cnn(sel.make_spec()));
+  sel.net_ = sel.build_net(static_cast<std::size_t>(heads));
   load_params(is, sel.net_->params());
   if (quant != 0) {
     // The executor constructor validates the weight set against the
@@ -348,18 +347,6 @@ FormatSelector FormatSelector::load(const std::string& path) {
     sel.qws_ = std::make_unique<QuantizedWeightSet>(
         QuantizedWeightSet::load(is));
     sel.qnet_ = std::make_unique<QuantizedMergeNet>(*sel.net_, *sel.qws_);
-  }
-  if (has_spmm != 0) {
-    CnnSpec spec = sel.make_spec();
-    spec.seed = sel.opts_.train.seed ^ 0x5b4d4dULL;
-    sel.spmm_net_ = std::make_unique<MergeNet>(build_cnn(spec));
-    load_params(is, sel.spmm_net_->params());
-    if (quant != 0) {
-      sel.spmm_qws_ = std::make_unique<QuantizedWeightSet>(
-          QuantizedWeightSet::load(is));
-      sel.spmm_qnet_ =
-          std::make_unique<QuantizedMergeNet>(*sel.spmm_net_, *sel.spmm_qws_);
-    }
   }
   return sel;
 }

@@ -5,6 +5,10 @@
 // late-merging CNN, trains it, and then predicts the best SpMV format for
 // unseen matrices. Models persist to a single file and can be migrated to
 // another platform with migrate() (paper §6).
+//
+// Representations do not depend on the op, so one network answers both:
+// fit() trains the towers and the SpMV head, fit_spmm() adds an SpMM head
+// over the same tower codes, and a mixed batch runs the towers once.
 #pragma once
 
 #include <memory>
@@ -67,11 +71,12 @@ class FormatSelector {
   /// Trains on a pre-built dataset (its candidates become this selector's).
   void fit(const Dataset& train);
 
-  /// Trains the optional SpMM head on SpMM-measured labels (same candidate
-  /// set and representation geometry; only the label distribution differs).
-  /// Requires fit() first: the SpMV head defines candidates and geometry,
-  /// the SpMM head rides along through clone/save/migrate/quantize. After
-  /// this, predict*(a, SpOp::kSpmm) routes through the new head.
+  /// Adds the optional SpMM head and trains it on SpMM-measured labels
+  /// (same candidates and geometry; only the labels differ) with the
+  /// towers frozen (paper §6's top evolvement), so SpMV answers do not
+  /// move. Once per fit(). On a quantized selector the head is calibrated
+  /// on `train` and joins the int8 plan. After this, predict*(a,
+  /// SpOp::kSpmm) routes through the new head.
   void fit_spmm(const std::vector<LabeledMatrix>& labeled);
   void fit_spmm(const Dataset& train);
 
@@ -107,10 +112,16 @@ class FormatSelector {
   std::vector<Tensor> prepare_inputs(const Csr& a) const;
 
   /// Argmax candidate indices for pre-built representations, one batched
-  /// forward pass (fp32 or int8). The micro-batching backend of
+  /// forward pass (fp32 or int8): the towers run once over the batch and
+  /// sample i is classified by ops[i]'s head. The micro-batching backend of
   /// serve::SelectionService. `ws` supplies the batch packing and
   /// forward-pass scratch (serve workers keep one each, so miss-path
   /// inference reuses warm buffers); null uses the calling thread's.
+  std::vector<std::int32_t> predict_prepared(
+      const std::vector<std::vector<Tensor>>& prepared,
+      const std::vector<SpOp>& ops, Workspace* ws = nullptr) const;
+
+  /// The same, every sample for `op`.
   std::vector<std::int32_t> predict_prepared(
       const std::vector<std::vector<Tensor>>& prepared, Workspace* ws = nullptr,
       SpOp op = SpOp::kSpmv) const;
@@ -156,7 +167,9 @@ class FormatSelector {
   /// O(#params); no retraining.
   FormatSelector clone() const;
 
-  /// Migrates this selector's model to a new platform's labels.
+  /// Migrates this selector's model to a new platform's SpMV labels. An
+  /// SpMM head is carried bitwise, so only kTopEvolve (which keeps the
+  /// tower codes it reads) is accepted then; others throw invalid_argument.
   FormatSelector migrate(MigrationMethod method, const Dataset& target_train,
                          const TrainConfig& cfg) const;
 
@@ -165,8 +178,9 @@ class FormatSelector {
 
  private:
   CnnSpec make_spec() const;
+  /// An untrained net with `heads` heads (1: SpMV; 2: SpMV + SpMM).
+  std::unique_ptr<MergeNet> build_net(std::size_t heads) const;
   std::vector<std::vector<Tensor>> calib_batches(const Dataset& calib) const;
-  void quantize_spmm(const Dataset& calib);
 
   friend class ModelRegistry;  // stamps model_version_ at publish time
 
@@ -174,17 +188,14 @@ class FormatSelector {
   StreamingRepBuilder rep_builder_;  // derived from opts_; keep adjacent
   std::vector<Format> candidates_;
   std::uint64_t model_version_ = 0;
-  std::unique_ptr<MergeNet> net_;  // unique_ptr: MergeNet is move-averse
-  // Optional SpMM head: same architecture over the same representations,
-  // trained on SpMM-measured labels.
-  std::unique_ptr<MergeNet> spmm_net_;
+  // Head 0 answers SpMV, head 1 (after fit_spmm) SpMM. On the heap so the
+  // int8 executor's pointers into it survive a move.
+  std::unique_ptr<MergeNet> net_;
   // Int8 inference state: the serializable weight set and the compiled
   // executor over net_. Both null on fp32 selectors; rebuilt over the
   // copy's net on clone.
   std::unique_ptr<QuantizedWeightSet> qws_;
   std::unique_ptr<QuantizedMergeNet> qnet_;
-  std::unique_ptr<QuantizedWeightSet> spmm_qws_;
-  std::unique_ptr<QuantizedMergeNet> spmm_qnet_;
 };
 
 }  // namespace dnnspmv

@@ -80,7 +80,7 @@ std::vector<const std::vector<Tensor>*> sample_inputs(
 }
 
 TrainHistory train_cnn(MergeNet& net, const Dataset& data, int net_inputs,
-                       const TrainConfig& cfg) {
+                       const TrainConfig& cfg, std::size_t head) {
   DNNSPMV_CHECK(!data.samples.empty());
   TrainHistory hist;
   Adam opt(net.params(), cfg.lr);
@@ -114,10 +114,10 @@ TrainHistory train_cnn(MergeNet& net, const Dataset& data, int net_inputs,
         labels.push_back(data.samples[static_cast<std::size_t>(i)].label);
 
       Tensor logits;
-      net.forward(inputs, logits, /*training=*/true, ws);
+      net.forward(inputs, logits, /*training=*/true, ws, head);
       Tensor grad;
       const double loss = softmax_cross_entropy(logits, labels, grad);
-      net.backward(inputs, grad, ws);
+      net.backward(inputs, grad, ws, head);
       opt.step();
 
       hist.step_loss.push_back(loss);

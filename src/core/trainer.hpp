@@ -37,9 +37,11 @@ const std::vector<Tensor>& assemble_batch(
 std::vector<const std::vector<Tensor>*> sample_inputs(
     const Dataset& data, const std::vector<std::int32_t>& idx);
 
-/// Trains in place with Adam; respects frozen parameters.
+/// Trains head `head` (and whatever feeds it) in place with Adam;
+/// respects frozen parameters.
 TrainHistory train_cnn(MergeNet& net, const Dataset& data,
-                       int net_inputs, const TrainConfig& cfg);
+                       int net_inputs, const TrainConfig& cfg,
+                       std::size_t head = 0);
 
 /// Argmax predictions for every sample, forwarded in batches of `batch`
 /// on the calling thread's workspace.

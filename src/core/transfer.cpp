@@ -17,7 +17,15 @@ std::string migration_method_name(MigrationMethod m) {
 MergeNet migrate_model(const CnnSpec& spec, MergeNet& source_model,
                        MigrationMethod method, const Dataset& target_train,
                        const TrainConfig& cfg) {
+  // Heads past 0 were fitted on the source's tower codes; only top
+  // evolvement keeps those codes (and those heads) as they are.
+  DNNSPMV_CHECK_ERRC(
+      method == MigrationMethod::kTopEvolve || source_model.num_heads() == 1,
+      errc::invalid_argument,
+      migration_method_name(method) << " would move the codes a head reads");
   MergeNet model = build_cnn(spec);
+  for (std::size_t h = 1; h < source_model.num_heads(); ++h)
+    add_cnn_head(model, spec);
   if (method != MigrationMethod::kFromScratch)
     copy_params(source_model.params(), model.params());
   if (method == MigrationMethod::kTopEvolve)

@@ -27,7 +27,10 @@ std::string migration_method_name(MigrationMethod m);
 /// Builds a model for the target platform with `method`, training on
 /// `target_train` (labels collected on the target machine).
 /// `source_model` supplies the warm-start weights for the evolvement
-/// methods and is ignored for from-scratch.
+/// methods and is ignored for from-scratch. Only head 0 trains; a source
+/// with further heads (fitted on its tower codes) migrates by top
+/// evolvement only, which carries those heads bitwise — other methods
+/// throw errc::invalid_argument.
 MergeNet migrate_model(const CnnSpec& spec, MergeNet& source_model,
                        MigrationMethod method, const Dataset& target_train,
                        const TrainConfig& cfg);

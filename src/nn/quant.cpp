@@ -220,26 +220,20 @@ QuantizedWeightSet quantize_merge_net(
     o.hist.observe(t.data(), t.size());
   };
 
-  // Calibration walk: replicate MergeNet::forward layer by layer (towers →
-  // flatten-concat → head), observing each conv/dense input. Runs in
-  // inference mode so dropout and batchless layers behave as they will at
-  // serve time.
+  // Calibration pass: the net's own inference forward (towers, then every
+  // head), so dropout and batchless layers behave as they will at serve
+  // time. Each conv/dense input is read back from the Workspace, where
+  // Sequential leaves layer i's output under (sequence, i).
   Workspace ws;
-  Tensor ping, pong, merged;
-  std::vector<Tensor> touts(static_cast<std::size_t>(ntowers));
+  Tensor codes, head_out;
   std::int64_t walked = 0;
-  auto walk_seq = [&](Sequential& seq, std::int32_t seq_id, const Tensor& in,
-                      Tensor& out) {
-    const Tensor* cur = &in;
-    for (std::size_t li = 0; li < seq.num_layers(); ++li) {
-      Layer& layer = seq.layer(li);
-      if (dynamic_cast<Conv2D*>(&layer) || dynamic_cast<Dense*>(&layer))
-        observe(seq_id, static_cast<std::int32_t>(li), *cur);
-      Tensor& dst = (cur == &ping) ? pong : ping;
-      layer.forward(*cur, dst, /*training=*/false, ws);
-      cur = &dst;
-    }
-    out = *cur;
+  const auto observe_seq = [&](Sequential& seq, std::int32_t seq_id,
+                               const Tensor& in) {
+    for (std::size_t li = 0; li < seq.num_layers(); ++li)
+      if (dynamic_cast<Conv2D*>(&seq.layer(li)) ||
+          dynamic_cast<Dense*>(&seq.layer(li)))
+        observe(seq_id, static_cast<std::int32_t>(li),
+                li == 0 ? in : ws.tensor(&seq, static_cast<int>(li) - 1));
   };
   for (const std::vector<Tensor>& batch : calib) {
     DNNSPMV_CHECK_ERRC(batch.size() == static_cast<std::size_t>(ntowers),
@@ -248,26 +242,14 @@ QuantizedWeightSet quantize_merge_net(
                                                 << " inputs, net has "
                                                 << ntowers << " towers");
     if (walked >= cfg.max_calib_samples) break;
+    net.codes(batch, codes, ws);
     for (std::int32_t t = 0; t < ntowers; ++t)
-      walk_seq(net.tower(static_cast<std::size_t>(t)), t, batch[t],
-               touts[static_cast<std::size_t>(t)]);
-    // Concatenate the flattened tower outputs exactly like
-    // MergeNet::flatten_tower_outputs.
-    const std::int64_t nb = batch[0].dim(0);
-    std::int64_t feat = 0;
-    for (const Tensor& to : touts) feat += to.size() / nb;
-    merged.ensure2(nb, feat);
-    std::int64_t off = 0;
-    for (const Tensor& to : touts) {
-      const std::int64_t f = to.size() / nb;
-      for (std::int64_t s = 0; s < nb; ++s)
-        std::memcpy(merged.data() + s * feat + off, to.data() + s * f,
-                    static_cast<std::size_t>(f) * sizeof(float));
-      off += f;
+      observe_seq(net.tower(static_cast<std::size_t>(t)), t, batch[t]);
+    for (std::size_t h = 0; h < net.num_heads(); ++h) {
+      net.head(h).forward(codes, head_out, /*training=*/false, ws);
+      observe_seq(net.head(h), head_seq_id(h), codes);
     }
-    Tensor head_out;
-    walk_seq(net.head(), -1, merged, head_out);
-    walked += nb;
+    walked += batch[0].dim(0);
   }
 
   // Convert: per observed layer, weight scales from the weights themselves
@@ -311,7 +293,8 @@ QuantizedWeightSet quantize_merge_net(
   };
   for (std::int32_t t = 0; t < ntowers; ++t)
     convert(net.tower(static_cast<std::size_t>(t)), t);
-  convert(net.head(), -1);
+  for (std::size_t h = 0; h < net.num_heads(); ++h)
+    convert(net.head(h), head_seq_id(h));
   return qws;
 }
 
@@ -321,16 +304,16 @@ QuantizedWeightSet quantize_merge_net(
 QuantizedMergeNet::QuantizedMergeNet(MergeNet& net,
                                      const QuantizedWeightSet& qws) {
   tower_plans_.resize(net.num_towers());
-  std::size_t used = 0;
-  for (std::size_t t = 0; t < net.num_towers(); ++t) {
+  head_plans_.resize(net.num_heads());
+  for (std::size_t t = 0; t < net.num_towers(); ++t)
     compile(net.tower(t), static_cast<std::int32_t>(t), qws,
             tower_plans_[t]);
-    for (const Op& op : tower_plans_[t])
-      used += op.kind != Op::Kind::kLayer ? 1 : 0;
-  }
-  compile(net.head(), -1, qws, head_plan_);
-  for (const Op& op : head_plan_)
-    used += op.kind != Op::Kind::kLayer ? 1 : 0;
+  for (std::size_t h = 0; h < net.num_heads(); ++h)
+    compile(net.head(h), head_seq_id(h), qws, head_plans_[h]);
+  std::size_t used = 0;
+  for (const auto* plans : {&tower_plans_, &head_plans_})
+    for (const std::vector<Op>& plan : *plans)
+      for (const Op& op : plan) used += op.kind != Op::Kind::kLayer ? 1 : 0;
   DNNSPMV_CHECK_ERRC(used == qws.layers.size(), errc::data_error,
                      "quantized weight set has " << qws.layers.size()
                                                  << " layers, net consumed "
@@ -480,6 +463,7 @@ void QuantizedMergeNet::run(const std::vector<Op>& plan, const Tensor& in,
 }
 
 void QuantizedMergeNet::forward(const std::vector<Tensor>& inputs,
+                                const std::vector<std::int32_t>& row_heads,
                                 Tensor& logits, Workspace& ws) const {
   DNNSPMV_CHECK_ERRC(inputs.size() == tower_plans_.size(),
                      errc::invalid_argument,
@@ -504,7 +488,10 @@ void QuantizedMergeNet::forward(const std::vector<Tensor>& inputs,
                   static_cast<std::size_t>(f) * sizeof(float));
     off += f;
   }
-  run(head_plan_, merged, logits, ws);
+  route_heads(merged, row_heads, head_plans_.size(), logits, ws, this,
+              [&](std::size_t h, const Tensor& in, Tensor& out) {
+                run(head_plans_[h], in, out, ws);
+              });
 }
 
 }  // namespace dnnspmv

@@ -11,11 +11,12 @@
 //      scales (s_w[i] = max|W[i,:]| / 127); activations get one affine
 //      7-bit scale/zero-point per layer input from the observed range.
 //      The result is a QuantizedWeightSet: pure, serializable data.
-//   3. *Execute.* QuantizedMergeNet compiles net + weight set into an
-//      inference plan: per layer, quantize the input to u7, run the int8
-//      GEMM (gemm.hpp qgemm_u7, weights pre-packed at convert time), and
-//      dequantize in the kernel epilogue with the zero-point correction
-//      folded into an effective bias:
+//   3. *Execute.* QuantizedMergeNet compiles net + weight set into one
+//      inference plan — a plan per tower and per head, so a batch that
+//      mixes SpMV and SpMM runs the towers once. Per layer it quantizes
+//      the input to u7, runs the int8 GEMM (gemm.hpp qgemm_u7, weights
+//      pre-packed at convert time), and dequantizes in the kernel epilogue
+//      with the zero-point correction folded into an effective bias:
 //
 //        y[i] = s_w[i]·s_x·(acc[i] − zp·Σ_p Wq[i,p]) + b[i]
 //             = acc[i]·out_scale[i] + bias_eff[i].
@@ -86,8 +87,14 @@ struct QuantConfig {
   std::int64_t max_calib_samples = 256;
 };
 
+/// QLayer::seq of head h: heads count down from -1 (head 0), so tower ids
+/// [0, num_towers) and head ids never collide.
+constexpr std::int32_t head_seq_id(std::size_t h) {
+  return -1 - static_cast<std::int32_t>(h);
+}
+
 /// One quantized conv/dense layer, addressed by (seq, index) into the
-/// MergeNet: seq ∈ [0, num_towers) is a tower, seq == -1 the head.
+/// MergeNet: seq ∈ [0, num_towers) is a tower, seq == head_seq_id(h) head h.
 struct QLayer {
   static constexpr std::uint8_t kConv = 0;
   static constexpr std::uint8_t kDense = 1;
@@ -105,7 +112,8 @@ struct QLayer {
 
 /// The serializable product of convert: plain data, no pointers into the
 /// net, copyable between clones. Rides the weight-set file as a trailer
-/// block after the fp32 params (selector.cpp).
+/// block after the fp32 params (selector.cpp). One set covers the towers
+/// and every head.
 struct QuantizedWeightSet {
   std::vector<QLayer> layers;
 
@@ -124,17 +132,18 @@ void quantize_weights_per_channel(const float* w, std::int64_t rows,
 
 /// Observer + calibrate + convert in one pass: walks `calib` (one Tensor
 /// per tower per batch, NCHW) through the net, observes every conv/dense
-/// input, and returns the quantized weight set. Deterministic for a fixed
-/// net and calibration set.
+/// input, and returns the quantized weight set — towers, then heads in
+/// order. Deterministic for a fixed net and calibration set.
 QuantizedWeightSet quantize_merge_net(
     MergeNet& net, const std::vector<std::vector<Tensor>>& calib,
     const QuantConfig& cfg = {});
 
-/// Compiled inference plan over a net + weight set. Holds pre-packed int8
-/// weight panels and fused per-layer epilogue data — immutable after
-/// construction — and points into the MergeNet for the layers that stay
-/// fp32 (pool, flatten). Construction validates the weight set against the
-/// net (layer kinds and shapes) and throws errc::data_error on mismatch.
+/// Compiled inference plan over a net + weight set: one plan per tower and
+/// one per head. Holds pre-packed int8 weight panels and fused per-layer
+/// epilogue data — immutable after construction — and points into the
+/// MergeNet for the layers that stay fp32 (pool, flatten). Construction
+/// validates the weight set against the net (layer kinds and shapes, every
+/// record consumed) and throws errc::data_error on mismatch.
 ///
 /// Thread safety: like MergeNet, forward() is const and writes only to the
 /// caller's Workspace (activations, quantized inputs, GEMM staging), so one
@@ -143,8 +152,11 @@ class QuantizedMergeNet {
  public:
   QuantizedMergeNet(MergeNet& net, const QuantizedWeightSet& qws);
 
-  /// Quantized forward: inputs[i] feeds tower i, logits [batch, classes].
-  void forward(const std::vector<Tensor>& inputs, Tensor& logits,
+  /// Quantized forward: inputs[i] feeds tower i; the towers run once over
+  /// the batch and row b is classified by head row_heads[b] (route_heads,
+  /// merge_net.hpp). logits [batch, classes].
+  void forward(const std::vector<Tensor>& inputs,
+               const std::vector<std::int32_t>& row_heads, Tensor& logits,
                Workspace& ws) const;
 
  private:
@@ -172,7 +184,7 @@ class QuantizedMergeNet {
                  Workspace& ws) const;
 
   std::vector<std::vector<Op>> tower_plans_;
-  std::vector<Op> head_plan_;
+  std::vector<std::vector<Op>> head_plans_;
 };
 
 }  // namespace dnnspmv

@@ -23,7 +23,7 @@ void load_params(std::istream& is, const std::vector<Param*>& params);
 /// the selector file layout (kWeightSetFormat is the only one written or
 /// read); `model_version` is the registry version the weights were
 /// published as (0 = never published).
-constexpr std::uint32_t kWeightSetFormat = 3;
+constexpr std::uint32_t kWeightSetFormat = 4;
 
 struct WeightSetHeader {
   std::uint32_t format_version = kWeightSetFormat;

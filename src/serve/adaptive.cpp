@@ -1,4 +1,4 @@
-#include "core/adaptive.hpp"
+#include "serve/adaptive.hpp"
 
 #include <mutex>
 #include <utility>

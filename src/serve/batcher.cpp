@@ -1,7 +1,5 @@
 #include "serve/batcher.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "obs/trace.hpp"
 #include "serve/fault.hpp"
@@ -80,6 +78,14 @@ void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
       recycle(std::move(r.inputs));
       continue;
     }
+    if (!model.supports(r.op)) {
+      // Fails alone rather than failing the forward its batch shares.
+      fail_request(r, std::make_exception_ptr(DnnspmvError(
+                          errc::invalid_argument,
+                          "the served model has no head for this op")));
+      recycle(std::move(r.inputs));
+      continue;
+    }
     if (inj.enabled() && inj.decide(fault::Site::kWorkerPop).should_drop) {
       fail_request(r, std::make_exception_ptr(DnnspmvError(
                           errc::fault_injected,
@@ -94,65 +100,55 @@ void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
   batch.resize(kept);
   if (batch.empty()) return;
 
-  // A micro-batch may mix ops; each selector head gets one forward pass
-  // over its contiguous group. Partitioning is stable so intra-op FIFO
-  // order (and thus fulfilment order per client stream) is preserved.
-  const auto mid = std::stable_partition(
-      batch.begin(), batch.end(),
-      [](const PredictRequest& r) { return r.op == SpOp::kSpmv; });
-  const std::size_t n_spmv =
-      static_cast<std::size_t>(mid - batch.begin());
-
-  // Serves batch[lo, hi) — all the same op — with one forward pass.
-  const auto serve_group = [&](std::size_t lo, std::size_t hi, SpOp op) {
-    if (lo == hi) return;
-    const std::size_t n = hi - lo;
-    std::vector<std::vector<Tensor>> prepared;
-    try {
-      inj.inject(fault::Site::kForward);
-      prepared.reserve(n);
-      {
-        obs::Span span("serve.batch_assemble");
-        for (std::size_t i = lo; i < hi; ++i)
-          prepared.push_back(std::move(batch[i].inputs));
+  // One forward answers the whole micro-batch, whatever its mix of ops:
+  // the towers run once and each op's head classifies its own rows.
+  const std::size_t n = batch.size();
+  std::vector<std::vector<Tensor>> prepared;
+  try {
+    inj.inject(fault::Site::kForward);
+    prepared.reserve(n);
+    std::vector<SpOp> ops;
+    ops.reserve(n);
+    {
+      obs::Span span("serve.batch_assemble");
+      for (PredictRequest& r : batch) {
+        prepared.push_back(std::move(r.inputs));
+        ops.push_back(r.op);
       }
-      std::vector<std::int32_t> picks;
-      {
-        obs::Span span("serve.forward");
-        picks = model.predict_prepared(prepared, &ws, op);
-      }
-      DNNSPMV_CHECK(picks.size() == n);
-      // Cache and metrics first, promises last: once a client unblocks,
-      // its prediction is already cached and the batch counters already
-      // reflect it (snapshot() right after predict() must see this
-      // forward). Entries are keyed under the version that produced them,
-      // so probes stop hitting them once the service moves to a newer
-      // version. (Fingerprints arrive op-scoped from the submitter.)
-      obs::Span span("serve.fulfill");
-      for (std::size_t i = 0; i < n; ++i)
-        cache_.put(versioned_cache_key(batch[lo + i].fingerprint,
-                                       model.model_version()),
-                   picks[i]);
-      metrics_.record_batch(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        batch[lo + i].result.set_value(picks[i]);
-        invoke_done(batch[lo + i], picks[i], AnswerSource::kCnn, nullptr);
-      }
-    } catch (...) {
-      // A failed forward (real or injected) fails its whole group; each
-      // waiting client gets the exception instead of a hang.
-      const std::exception_ptr err = std::current_exception();
-      for (std::size_t i = lo; i < hi; ++i) fail_request(batch[i], err);
     }
-    // Served or failed, the input buffers are dead — recycle them. On the
-    // error paths they may still live in `batch` (pre-assembly failure),
-    // so offer both containers; only the non-empty ones pool.
-    for (std::vector<Tensor>& bufs : prepared) recycle(std::move(bufs));
-    for (std::size_t i = lo; i < hi; ++i)
-      recycle(std::move(batch[i].inputs));
-  };
-  serve_group(0, n_spmv, SpOp::kSpmv);
-  serve_group(n_spmv, batch.size(), SpOp::kSpmm);
+    std::vector<std::int32_t> picks;
+    {
+      obs::Span span("serve.forward");
+      picks = model.predict_prepared(prepared, ops, &ws);
+    }
+    DNNSPMV_CHECK(picks.size() == n);
+    // Cache and metrics first, promises last: once a client unblocks, its
+    // prediction is already cached and the batch counters already reflect
+    // it (snapshot() right after predict() must see this forward). Entries
+    // are keyed under the version that produced them, so probes stop
+    // hitting them once the service moves to a newer version.
+    // (Fingerprints arrive op-scoped from the submitter.)
+    obs::Span span("serve.fulfill");
+    for (std::size_t i = 0; i < n; ++i)
+      cache_.put(versioned_cache_key(batch[i].fingerprint,
+                                     model.model_version()),
+                 picks[i]);
+    metrics_.record_batch(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      batch[i].result.set_value(picks[i]);
+      invoke_done(batch[i], picks[i], AnswerSource::kCnn, nullptr);
+    }
+  } catch (...) {
+    // A failed forward (real or injected) fails the whole batch; each
+    // waiting client gets the exception instead of a hang.
+    const std::exception_ptr err = std::current_exception();
+    for (PredictRequest& r : batch) fail_request(r, err);
+  }
+  // Served or failed, the input buffers are dead — recycle them. On the
+  // error paths they may still live in `batch` (pre-assembly failure), so
+  // offer both containers; only the non-empty ones pool.
+  for (std::vector<Tensor>& bufs : prepared) recycle(std::move(bufs));
+  for (PredictRequest& r : batch) recycle(std::move(r.inputs));
 }
 
 void Batcher::run() {

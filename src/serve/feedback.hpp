@@ -7,7 +7,7 @@
 //   FeedbackSample { fingerprint, CNN representation, measured per-format
 //                    SpMV seconds }
 //
-// into a fixed-capacity ring; the OnlineTrainer (core/online.hpp) is the
+// into a fixed-capacity ring; the OnlineTrainer (serve/online.hpp) is the
 // single consumer, draining samples into its replay buffer and deriving
 // labels from the measured times (argmin — perf/labels.hpp).
 //

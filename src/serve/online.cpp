@@ -1,10 +1,11 @@
-#include "core/online.hpp"
+#include "serve/online.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <utility>
 
+#include "core/transfer.hpp"
 #include "perf/labels.hpp"
 
 namespace dnnspmv {
@@ -112,7 +113,8 @@ bool OnlineTrainer::train_once() {
   // top evolvement freezes the towers and retrains the head on the
   // measured labels — paper §6, pointed at served traffic.
   FormatSelector next =
-      registry_.current()->migrate(opts_.method, ds, opts_.train);
+      registry_.current()->migrate(MigrationMethod::kTopEvolve, ds,
+                                   opts_.train);
   registry_.publish(std::move(next));
   published_n_.fetch_add(1, std::memory_order_relaxed);
   published_counter_.inc();

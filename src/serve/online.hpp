@@ -13,11 +13,12 @@
 //   2. derives labels from the measured times (argmin, labels.hpp) —
 //      measured ground truth, not model predictions, so rounds cannot
 //      collapse into self-confirmation;
-//   3. fine-tunes the *current* published model via the paper's §6
-//      transfer paths (default top evolvement: conv towers frozen, head
-//      retrained — cheap, and the representation geometry is pinned by the
-//      registry anyway). The published model itself is never mutated:
-//      migrate() builds a fresh network, so versions stay immutable.
+//   3. fine-tunes the *current* published model by the paper's §6 top
+//      evolvement: conv towers frozen, SpMV head retrained — cheap, the
+//      representation geometry is pinned by the registry anyway, and it is
+//      the one method that leaves an SpMM head's input codes unchanged.
+//      The published model itself is never mutated: migrate() builds a
+//      fresh network, so versions stay immutable.
 //   4. publishes the result; every subscriber adopts on its next staleness
 //      check, no pause, in-flight batches finish on their pinned version.
 //
@@ -34,7 +35,6 @@
 
 #include "core/model_registry.hpp"
 #include "core/trainer.hpp"
-#include "core/transfer.hpp"
 #include "serve/feedback.hpp"
 
 namespace dnnspmv {
@@ -47,10 +47,6 @@ struct OnlineTrainerOptions {
   std::size_t replay_capacity = 512;
   /// Background-thread poll period between rounds (start()/stop() mode).
   std::int64_t poll_interval_ms = 50;
-  /// Which §6 transfer path fine-tuning uses. Top evolvement freezes the
-  /// conv towers and retrains the head — the cheap option the paper found
-  /// sufficient for same-geometry migration.
-  MigrationMethod method = MigrationMethod::kTopEvolve;
   /// Per-round fine-tune config (keep epochs small: rounds should be
   /// frequent and cheap, not full retrains).
   TrainConfig train{/*epochs=*/4, /*batch=*/16, /*lr=*/1e-3,

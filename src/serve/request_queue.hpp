@@ -57,8 +57,8 @@ using DoneCallback =
 /// -1 means unstamped (now_us() legitimately returns 0 at its epoch).
 struct PredictRequest {
   std::uint64_t fingerprint = 0;  // already op-scoped by the submitter
-  // Which selector head answers this request. Workers partition each
-  // micro-batch by op (one forward pass per head present in the batch).
+  // Which selector head answers this request. A micro-batch may mix ops:
+  // its one forward runs the towers once and each head over its own rows.
   SpOp op = SpOp::kSpmv;
   std::vector<Tensor> inputs;
   std::promise<std::int32_t> result;

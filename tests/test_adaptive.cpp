@@ -1,6 +1,6 @@
 // AdaptiveSpmv (library integration, paper §7.6/§8) and amortized
 // labelling.
-#include "core/adaptive.hpp"
+#include "serve/adaptive.hpp"
 
 #include <gtest/gtest.h>
 

@@ -2,7 +2,7 @@
 // ModelRegistry versioning + RCU hot swap under live traffic, version
 // pinning of held snapshots, OnlineTrainer drift recovery, and versioned
 // weight-set serialization.
-#include "core/online.hpp"
+#include "serve/online.hpp"
 
 #include <gtest/gtest.h>
 

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/adaptive.hpp"
+#include "serve/adaptive.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 
@@ -493,19 +493,21 @@ TEST(QuantSerialize, PreV3FilesAreRejected) {
     }
     try {
       FormatSelector::load(path);
-      ADD_FAILURE() << "a pre-v3 weight-set file loaded";
+      ADD_FAILURE() << "a pre-v4 weight-set file loaded";
     } catch (const DnnspmvError& e) {
       EXPECT_EQ(e.code(), errc::data_error) << e.what();
     }
   };
-  // A pre-header file has no 16-byte header (magic + format version +
-  // model version), no quantize flag, and no SpMM-head fields. Those sit
-  // after the 4-byte mode, three 8-byte rep fields and the 4-byte late
-  // flag: quantize at [48, 52), has_spmm + spmm_cols at [52, 60).
+  // Format 4 starts with a 16-byte header: 4-byte magic at [0, 4), 4-byte
+  // format version at [4, 8), 8-byte model version at [8, 16). Then the
+  // 4-byte mode at [16, 20), three 8-byte rep fields at [20, 44), the
+  // 4-byte late flag at [44, 48), the 4-byte quantize flag at [48, 52), the
+  // 4-byte head count at [52, 56) and the 4-byte spmm_cols at [56, 60). A
+  // pre-header file had none of the header, quantize or SpMM fields.
   ASSERT_GT(bytes.size(), 60u);
   expect_data_error(bytes.substr(16, 48 - 16) + bytes.substr(60));
-  // v1/v2 headers: the header magic, then an older format version.
-  for (const std::uint32_t version : {1u, 2u}) {
+  // v1/v2/v3 headers: the header magic, then an older format version.
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     std::string old = bytes;
     std::memcpy(old.data() + 4, &version, sizeof(version));
     expect_data_error(old);

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <tuple>
 
 namespace dnnspmv {
 namespace {
@@ -141,6 +144,141 @@ TEST(Selector, BuildDatasetCarriesTimesAndFeatures) {
 TEST(Selector, LoadRejectsMissingFile) {
   EXPECT_THROW(FormatSelector::load("/nonexistent/model.bin"),
                std::runtime_error);
+}
+
+// ------------------------------------------------------------- two heads
+
+// Selectors with an SpMV and an SpMM head over one set of towers, fp32 and
+// int8. The SpMM head trains on AMD-A8 analytic labels: any second label
+// set over the same corpus gives the head something different to learn,
+// and, with no host timing, the models are reproducible.
+struct TwoHeads {
+  SmallPipeline p;
+  std::vector<LabeledMatrix> spmm_labeled;
+  Dataset train;  // the SpMV labels; the same inputs as the SpMM slice
+  FormatSelector int8_spmv;  // quantized, before fit_spmm
+  FormatSelector fp32;
+  FormatSelector int8;
+
+  TwoHeads() {
+    spmm_labeled =
+        collect_labels(p.corpus, *make_analytic_cpu(amd_a8_params()));
+    const SelectorOptions o = fast_options();
+    train = build_dataset(p.labeled, p.platform->formats(), o.mode,
+                          o.rep_rows, o.rep_bins, o.rep_sample_nnz);
+    fp32 = FormatSelector(o);
+    fp32.fit(train);
+    int8_spmv = fp32.clone();
+    int8_spmv.quantize(train);
+    int8 = int8_spmv.clone();
+    fp32.fit_spmm(spmm_labeled);
+    int8.fit_spmm(spmm_labeled);
+  }
+};
+
+TwoHeads& two_heads() {
+  static TwoHeads t;
+  return t;
+}
+
+void expect_same_picks(const FormatSelector& a, const FormatSelector& b,
+                       const std::vector<CorpusEntry>& corpus,
+                       const char* what) {
+  for (std::size_t i = 0; i < corpus.size(); ++i)
+    for (const SpOp op : {SpOp::kSpmv, SpOp::kSpmm})
+      EXPECT_EQ(a.predict_index(corpus[i].matrix, op),
+                b.predict_index(corpus[i].matrix, op))
+          << what << ", matrix " << i << ", op " << static_cast<int>(op);
+}
+
+std::vector<std::vector<float>> head_values(FormatSelector& s,
+                                            std::size_t head) {
+  std::vector<std::vector<float>> out;
+  for (const Param* q : s.net().head_params(head))
+    out.emplace_back(q->value.data(), q->value.data() + q->value.size());
+  return out;
+}
+
+TEST(TwoHead, CloneSaveLoadAndMigrateKeepBothHeadsPicks) {
+  TwoHeads& t = two_heads();
+  TrainConfig keep = fast_options().train;
+  keep.epochs = 0;  // migrate's copy and re-quantization, no retraining
+  for (const FormatSelector* sel : {&t.fp32, &t.int8}) {
+    ASSERT_TRUE(sel->supports(SpOp::kSpmm));
+    expect_same_picks(sel->clone(), *sel, t.p.corpus, "clone");
+    const std::string path = ::testing::TempDir() + "/two_heads.bin";
+    sel->save(path);
+    const FormatSelector back = FormatSelector::load(path);
+    std::remove(path.c_str());
+    EXPECT_TRUE(back.supports(SpOp::kSpmm));
+    EXPECT_EQ(back.quantized(), sel->quantized());
+    expect_same_picks(back, *sel, t.p.corpus, "save/load");
+    // Re-quantizing on the slice both heads were calibrated on rebuilds the
+    // same int8 records, so the int8 picks must hold too.
+    const FormatSelector moved =
+        sel->migrate(MigrationMethod::kTopEvolve, t.train, keep);
+    EXPECT_TRUE(moved.supports(SpOp::kSpmm));
+    expect_same_picks(moved, *sel, t.p.corpus, "top-evolve migrate");
+  }
+}
+
+TEST(TwoHead, FitSpmmLeavesTowerAndSpmvRecordsByteEqual) {
+  TwoHeads& t = two_heads();
+  const std::vector<QLayer>& before = t.int8_spmv.quantized_weights()->layers;
+  const std::vector<QLayer>& after = t.int8.quantized_weights()->layers;
+  ASSERT_GT(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    const QLayer& a = before[i];
+    const QLayer& b = after[i];
+    EXPECT_GE(a.seq, head_seq_id(0)) << "record " << i;
+    EXPECT_EQ(std::tie(a.seq, a.index, a.kind, a.rows, a.cols, a.act_zp),
+              std::tie(b.seq, b.index, b.kind, b.rows, b.cols, b.act_zp))
+        << "record " << i;
+    EXPECT_EQ(std::memcmp(&a.act_scale, &b.act_scale, sizeof(float)), 0);
+    EXPECT_EQ(a.w_scale, b.w_scale) << "record " << i;
+    EXPECT_EQ(a.bias, b.bias) << "record " << i;
+    EXPECT_EQ(a.wq, b.wq) << "record " << i;
+  }
+  for (std::size_t i = before.size(); i < after.size(); ++i)
+    EXPECT_EQ(after[i].seq, head_seq_id(1)) << "record " << i;
+  // And the SpMV answers did not move.
+  for (const CorpusEntry& e : t.p.corpus)
+    EXPECT_EQ(t.int8.predict_index(e.matrix),
+              t.int8_spmv.predict_index(e.matrix));
+}
+
+TEST(TwoHead, MigrationOtherThanTopEvolveThrows) {
+  TwoHeads& t = two_heads();
+  TrainConfig cfg = fast_options().train;
+  cfg.epochs = 1;
+  for (const MigrationMethod m :
+       {MigrationMethod::kFromScratch, MigrationMethod::kContinuous}) {
+    try {
+      t.fp32.migrate(m, t.train, cfg);
+      ADD_FAILURE() << migration_method_name(m) << " migrated two heads";
+    } catch (const DnnspmvError& e) {
+      EXPECT_EQ(e.code(), errc::invalid_argument) << e.what();
+    }
+  }
+}
+
+TEST(TwoHead, TopEvolveLeavesSpmmHeadBitwise) {
+  TwoHeads& t = two_heads();
+  // The SpMV head moves to AMD-A8 labels (the SpMM head's, for brevity).
+  const Dataset target = build_dataset(
+      t.spmm_labeled, t.p.platform->formats(), t.fp32.options().mode,
+      t.fp32.options().rep_rows, t.fp32.options().rep_bins);
+  TrainConfig cfg = fast_options().train;
+  cfg.epochs = 3;
+  FormatSelector moved =
+      t.fp32.migrate(MigrationMethod::kTopEvolve, target, cfg);
+  FormatSelector& src = t.fp32;
+  EXPECT_EQ(head_values(moved, 1), head_values(src, 1));
+  // The SpMV head did retrain, so the check above is not vacuous.
+  EXPECT_NE(head_values(moved, 0), head_values(src, 0));
+  for (const CorpusEntry& e : t.p.corpus)
+    EXPECT_EQ(moved.predict_index(e.matrix, SpOp::kSpmm),
+              src.predict_index(e.matrix, SpOp::kSpmm));
 }
 
 }  // namespace

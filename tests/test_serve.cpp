@@ -11,9 +11,11 @@
 #include <thread>
 
 #include "common/error.hpp"
-#include "core/adaptive.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "perf/labels.hpp"
+#include "serve/adaptive.hpp"
+#include "serve/batcher.hpp"
 #include "serve/fingerprint.hpp"
 
 namespace dnnspmv {
@@ -333,6 +335,63 @@ TEST(SelectionService, MultithreadedHammerMatchesDirectPredictions) {
   // Only kPool distinct matrices → nearly everything hits after warmup.
   EXPECT_GE(s.hit_rate(), 0.9);
   EXPECT_LE(s.cache_entries, static_cast<std::uint64_t>(kPool));
+}
+
+TEST(MixedBatch, InterleavedOpsShareOneForward) {
+  auto& p = pipeline();
+  // A second head, trained on AMD-A8 analytic labels so the two heads
+  // disagree on some matrices.
+  FormatSelector both = p.selector.clone();
+  both.fit_spmm(collect_labels(p.corpus, *make_analytic_cpu(amd_a8_params())));
+  ModelRegistry registry(std::move(both));
+  ModelSubscription sub(registry);
+  RequestQueue queue(64);
+  PredictionCache cache(256);
+  ServiceMetrics metrics;
+  Batcher batcher(sub, queue, cache, metrics, /*max_batch=*/32);
+  const std::shared_ptr<const FormatSelector> model = registry.current();
+
+  // Each matrix twice, once per op, interleaved: SpMV, SpMM, SpMV, ...
+  constexpr std::size_t kMatrices = 16;
+  std::vector<PredictRequest> batch(2 * kMatrices);
+  std::vector<std::future<std::int32_t>> answers;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Csr& a = p.corpus[i / 2].matrix;
+    PredictRequest& r = batch[i];
+    r.op = i % 2 ? SpOp::kSpmm : SpOp::kSpmv;
+    r.fingerprint = op_scoped_fingerprint(structural_fingerprint(a), r.op);
+    r.inputs = model->prepare_inputs(a);
+    answers.push_back(r.result.get_future());
+  }
+  obs::Histogram& forwards =
+      obs::MetricsRegistry::global().histogram("nn.forward_us");
+  obs::set_enabled(true);
+  const std::uint64_t before = forwards.snapshot().count;
+  Workspace ws;
+  batcher.serve_batch(batch, ws);
+  const std::uint64_t after = forwards.snapshot().count;
+  obs::set_enabled(false);
+  obs::clear_trace();
+  EXPECT_EQ(after - before, 1u) << "one forward for the whole micro-batch";
+
+  std::size_t disagree = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Csr& a = p.corpus[i / 2].matrix;
+    const SpOp op = i % 2 ? SpOp::kSpmm : SpOp::kSpmv;
+    const std::int32_t want = model->predict_index(a, op);
+    EXPECT_EQ(answers[i].get(), want) << "request " << i;
+    std::int32_t cached = -1;
+    EXPECT_TRUE(cache.get(
+        versioned_cache_key(op_scoped_fingerprint(structural_fingerprint(a), op),
+                            model->model_version()),
+        cached))
+        << "request " << i;
+    EXPECT_EQ(cached, want) << "request " << i;
+    if (op == SpOp::kSpmm && want != model->predict_index(a, SpOp::kSpmv))
+      ++disagree;
+  }
+  // Otherwise a head mix-up could not show in the answers above.
+  EXPECT_GT(disagree, 0u);
 }
 
 TEST(AdaptiveSpmv, ReusesPredictionCacheAcrossConstructions) {
