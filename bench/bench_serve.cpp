@@ -57,9 +57,10 @@
 //                              interleaved pairs after a discarded warm-up
 //                              pair; IQR in the JSON).
 //
-// After the sweep, the best configuration is re-run in 5 interleaved
-// pairs with span tracing off and on to measure the observability overhead
-// (budget: <5%, the median of the per-pair overheads); BENCH_serve
+// After the sweep, the best configuration is re-run in 9 interleaved
+// pairs of 20-run arms with span tracing off and on to measure the
+// observability overhead (budget: <5%, the median of the per-pair
+// overheads; IQR in the JSON); BENCH_serve
 // .json carries throughput, p50/p99 latency, hit rate, and that overhead.
 //
 // Overload scenario (ISSUE 5): a tiny queue, one worker slowed by the
@@ -164,7 +165,8 @@ ServiceRun run_service(const FormatSelector& sel, const Workload& w,
   opts.num_workers = 2;
   opts.max_batch = max_batch;
   opts.cache_capacity = 4096;
-  SelectionService service(sel, opts);
+  ModelRegistry registry(sel.clone());
+  SelectionService service(registry, opts);
 
   Timer t;
   std::vector<std::thread> clients;
@@ -218,7 +220,8 @@ OverloadResult run_overload(const FormatSelector& sel,
   opts.shed_watermark = 0.5;
   opts.push_retries = 2;
   opts.push_backoff_us = 50;
-  SelectionService service(sel, opts);
+  ModelRegistry registry(sel.clone());
+  SelectionService service(registry, opts);
 
   fault::Plan slow;   // every forward drags: the CNN path is saturated
   slow.delay_prob = 1.0;
@@ -244,7 +247,7 @@ OverloadResult run_overload(const FormatSelector& sel,
             corpus[static_cast<std::size_t>(c) * per + i].matrix;
         Timer t;
         try {
-          (void)service.predict_index(a, deadline);
+          (void)service.predict_index(a, SpOp::kSpmv, deadline);
           ++answered;
         } catch (const DnnspmvError& e) {
           if (e.code() == errc::deadline_exceeded)
@@ -295,7 +298,8 @@ ScalingRun run_scaling(const FormatSelector& sel,
   opts.service.num_workers = 1;
   opts.service.queue_capacity = 512;
   opts.service.shed_watermark = 2.0;  // never shed: measure inference
-  ReplicaRouter router(sel, opts);
+  ModelRegistry registry(sel.clone());
+  ReplicaRouter router(registry, opts);
 
   const int clients = std::max(2, 2 * replicas);
   std::atomic<std::size_t> next{0};
@@ -344,7 +348,8 @@ StragglerRun run_straggler(const FormatSelector& sel,
   opts.service.num_workers = 1;
   opts.service.shed_watermark = 2.0;
   opts.injectors = {&straggler, nullptr};
-  ReplicaRouter router(sel, opts);
+  ModelRegistry registry(sel.clone());
+  ReplicaRouter router(registry, opts);
 
   requests = std::min(requests, corpus.size());
   std::vector<double> lat_us;
@@ -369,11 +374,14 @@ StragglerRun run_straggler(const FormatSelector& sel,
 
 // Fraction of `labeled` whose measured-argmin label the selector hits.
 // Throughput cost of a switch (span tracing, a model publisher): `pairs`
-// off/on run pairs, alternating which arm goes first so slow drift in host
-// load hits both alike. Each pair yields one overhead 100·(1 − on/off);
-// the estimate is the median of those, reported with their interquartile
-// range. One lucky or unlucky run moves neither, where a best-of-N ratio
-// swings with it.
+// off/on arm pairs, alternating which arm goes first so slow drift in host
+// load hits both alike. An arm is `runs` calls of `run` (each returns
+// req/s over the same request count), interleaved with the other arm's,
+// and its throughput is the total requests over the total time. Each pair
+// yields one overhead 100·(1 − on/off); the estimate is the median of
+// those, reported with their interquartile range. One lucky or unlucky
+// pair moves neither, where a best-of-N ratio swings with it; longer arms
+// narrow the range itself.
 struct PairedOverhead {
   double off_req_s = 0.0;  // median of the off runs
   double on_req_s = 0.0;   // median of the on runs
@@ -390,15 +398,20 @@ double quantile(std::vector<double> v, double q) {
   return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
 
-PairedOverhead paired_overhead(int pairs,
+PairedOverhead paired_overhead(int pairs, int runs,
                                const std::function<double(bool on)>& run) {
   std::vector<double> off, on, pct;
   for (int i = 0; i < pairs; ++i) {
     const bool on_first = i % 2 == 1;
-    const double first = run(on_first);
-    const double second = run(!on_first);
-    off.push_back(on_first ? second : first);
-    on.push_back(on_first ? first : second);
+    double off_s = 0.0, on_s = 0.0;  // seconds per request, summed
+    for (int r = 0; r < runs; ++r) {
+      const double first = 1.0 / run(on_first);
+      const double second = 1.0 / run(!on_first);
+      off_s += on_first ? second : first;
+      on_s += on_first ? first : second;
+    }
+    off.push_back(runs / off_s);
+    on.push_back(runs / on_s);
     pct.push_back(100.0 * (1.0 - on.back() / off.back()));
   }
   return {quantile(off, 0.5), quantile(on, 0.5), quantile(pct, 0.5),
@@ -598,7 +611,7 @@ int run_online_drift(BenchConfig cfg, const std::string& json_path) {
   }();
   run_swap_throughput(registry, w, fresh_stream, 0);     // warm-up, discarded
   run_swap_throughput(registry, w, fresh_stream, 2000);  // warm-up, discarded
-  const PairedOverhead swap = paired_overhead(5, [&](bool churn) {
+  const PairedOverhead swap = paired_overhead(5, 1, [&](bool churn) {
     return run_swap_throughput(registry, w, fresh_stream, churn ? 2000 : 0);
   });
   const double overhead_pct = swap.pct;
@@ -760,23 +773,32 @@ int run(int argc, char** argv) {
   json.end_array();
 
   // Observability overhead: re-run the best configuration with span
-  // tracing off and on, median of 5 interleaved pairs (paired_overhead).
+  // tracing off and on, median of interleaved pairs (paired_overhead).
+  // One run is ~50 ms, too short for a 5% bound on a loaded host, so an
+  // arm is kTraceRuns runs (each on a fresh service, interleaved with the
+  // other arm's): every run keeps the workload's hit-rate mix, and the arm
+  // is kTraceRuns times longer.
+  constexpr int kTracePairs = 9;
+  constexpr int kTraceRuns = 20;
   obs::clear_trace();
-  const PairedOverhead tracing = paired_overhead(5, [&](bool traced) {
-    obs::set_enabled(traced);
-    const double req_s = run_service(sel, w, best_threads,
-                                     static_cast<std::size_t>(best_batch))
-                             .throughput;
-    obs::set_enabled(false);
-    return req_s;
-  });
+  const PairedOverhead tracing =
+      paired_overhead(kTracePairs, kTraceRuns, [&](bool traced) {
+        obs::set_enabled(traced);
+        const double req_s =
+            run_service(sel, w, best_threads,
+                        static_cast<std::size_t>(best_batch))
+                .throughput;
+        obs::set_enabled(false);
+        return req_s;
+      });
   const double overhead_pct = tracing.pct;
   const bool met_overhead = overhead_pct < 5.0;
   std::printf("\ntracing overhead at %d threads, batch %d: "
-              "%.0f req/s off, %.0f req/s on (median of 5 pairs %.2f%%, "
-              "IQR [%.2f, %.2f]%%)\n",
+              "%.0f req/s off, %.0f req/s on (median of %d pairs of %d-run "
+              "arms %.2f%%, IQR [%.2f, %.2f]%%)\n",
               best_threads, best_batch, tracing.off_req_s, tracing.on_req_s,
-              overhead_pct, tracing.q1_pct, tracing.q3_pct);
+              kTracePairs, kTraceRuns, overhead_pct, tracing.q1_pct,
+              tracing.q3_pct);
   if (!trace_path.empty()) {
     const std::int64_t n_events = obs::write_chrome_trace_file(trace_path);
     std::printf("wrote %lld trace events to %s (%llu dropped)\n",

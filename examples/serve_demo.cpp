@@ -104,9 +104,9 @@ int main(int argc, char** argv) {
   opts.num_workers = 2;
   opts.max_batch = 16;
   opts.cache_capacity = 1024;
+  ModelRegistry registry(selector.clone());  // outlives service/router
   std::unique_ptr<SelectionService> service;
   std::unique_ptr<ReplicaRouter> router;
-  std::unique_ptr<ModelRegistry> registry;
   std::unique_ptr<FeedbackCollector> feedback;
   std::unique_ptr<OnlineTrainer> trainer;
   const auto drifted = make_analytic_cpu(amd_a8_params());
@@ -114,7 +114,6 @@ int main(int argc, char** argv) {
     // The learning loop: sampled misses are probed against a platform the
     // selector was NOT trained on (drifted labels), the trainer fine-tunes
     // in the background, and workers hot-swap to each published version.
-    registry = std::make_unique<ModelRegistry>(selector.clone());
     feedback = std::make_unique<FeedbackCollector>(
         FeedbackOptions{.capacity = 256, .sample_every = 1,
                         .measure_reps = 1});
@@ -122,11 +121,11 @@ int main(int argc, char** argv) {
     opts.feedback_probe = [&drifted](const Csr& m) {
       return drifted->spmv_times(m);
     };
-    service = std::make_unique<SelectionService>(*registry, opts);
+    service = std::make_unique<SelectionService>(registry, opts);
     OnlineTrainerOptions topts;
     topts.min_batch = 32;
     topts.poll_interval_ms = 20;
-    trainer = std::make_unique<OnlineTrainer>(*registry, *feedback, topts);
+    trainer = std::make_unique<OnlineTrainer>(registry, *feedback, topts);
     trainer->start();
     std::printf("online loop armed: feedback probe measures a drifted "
                 "platform, trainer polls every %lld ms\n",
@@ -135,7 +134,7 @@ int main(int argc, char** argv) {
     RouterOptions ropts;
     ropts.replicas = replicas;
     ropts.service = opts;
-    router = std::make_unique<ReplicaRouter>(selector, ropts);
+    router = std::make_unique<ReplicaRouter>(registry, ropts);
     std::printf("router: %d replicas, hedge budget %lld us", replicas,
                 static_cast<long long>(router->hedge_budget_us()));
     for (std::size_t r = 0; r < router->placement().size(); ++r) {
@@ -145,10 +144,12 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   } else {
-    service = std::make_unique<SelectionService>(selector, opts);
+    service = std::make_unique<SelectionService>(registry, opts);
   }
   auto predict = [&](const Csr& m) {
-    return router ? router->predict(m, op) : service->predict(m, op);
+    const std::int32_t idx = router ? router->predict_index(m, op)
+                                    : service->predict_index(m, op);
+    return registry.candidates()[static_cast<std::size_t>(idx)];
   };
 
   // 3. Concurrent clients, each re-querying a shared matrix pool — the
@@ -182,7 +183,7 @@ int main(int argc, char** argv) {
     if (trainer->train_once())
       std::printf("published fine-tuned version %llu; serving second "
                   "wave...\n",
-                  static_cast<unsigned long long>(registry->version()));
+                  static_cast<unsigned long long>(registry.version()));
     // Fresh matrices so the wave misses the cache: a miss is what wakes a
     // worker, and a woken worker is what adopts the new version (cached
     // answers keep flowing from the pinned version until then — that's
@@ -253,7 +254,7 @@ int main(int argc, char** argv) {
                   "swap(s); registry at version %llu\n",
                   static_cast<unsigned long long>(s.model_version),
                   static_cast<unsigned long long>(s.model_swaps),
-                  static_cast<unsigned long long>(registry->version()));
+                  static_cast<unsigned long long>(registry.version()));
     }
   }
 

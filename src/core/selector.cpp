@@ -222,18 +222,6 @@ std::vector<std::int32_t> FormatSelector::predict_index_batch(
   return predict_prepared(prepared, nullptr, op);
 }
 
-std::vector<Format> FormatSelector::predict_batch(const std::vector<Csr>& as,
-                                                  SpOp op) const {
-  std::vector<const Csr*> ptrs;
-  ptrs.reserve(as.size());
-  for (const Csr& a : as) ptrs.push_back(&a);
-  std::vector<Format> out;
-  out.reserve(as.size());
-  for (std::int32_t idx : predict_index_batch(ptrs, op))
-    out.push_back(candidates_[static_cast<std::size_t>(idx)]);
-  return out;
-}
-
 Format FormatSelector::predict(const Csr& a, SpOp op) const {
   return candidates_[static_cast<std::size_t>(predict_index(a, op))];
 }

@@ -86,23 +86,22 @@ class FormatSelector {
 
   /// Predicted best format for a new matrix.
   ///
-  /// Thread safety: predict/predict_index/predict_batch/predict_prepared
-  /// are const and re-entrant: every forward writes only to a Workspace
-  /// the caller owns (or the calling thread's), so any number of threads
-  /// may predict on one trained selector at once — a published registry
-  /// snapshot is shared by every replica that serves it. Concurrent
-  /// prediction must not overlap with fit()/quantize() on the same object
-  /// (published models are never mutated again).
+  /// Thread safety: predict/predict_index/predict_index_batch/
+  /// predict_prepared are const and re-entrant: every forward writes only
+  /// to a Workspace the caller owns (or the calling thread's), so any
+  /// number of threads may predict on one trained selector at once — a
+  /// published registry snapshot is shared by every replica that serves
+  /// it. Concurrent prediction must not overlap with fit()/quantize() on
+  /// the same object (published models are never mutated again).
   Format predict(const Csr& a, SpOp op = SpOp::kSpmv) const;
 
   /// Index into candidates() instead of the Format enum.
   std::int32_t predict_index(const Csr& a, SpOp op = SpOp::kSpmv) const;
 
-  /// Batched predict: one forward pass over all matrices through the same
-  /// batched-tensor path the trainer uses. Element i equals predict(as[i])
-  /// exactly (per-sample arithmetic is batch-size invariant).
-  std::vector<Format> predict_batch(const std::vector<Csr>& as,
-                                    SpOp op = SpOp::kSpmv) const;
+  /// Batched predict_index: one forward pass over all matrices through the
+  /// same batched-tensor path the trainer uses. Element i equals
+  /// predict_index(*as[i]) exactly (per-sample arithmetic is batch-size
+  /// invariant).
   std::vector<std::int32_t> predict_index_batch(
       const std::vector<const Csr*>& as, SpOp op = SpOp::kSpmv) const;
 
@@ -162,8 +161,8 @@ class FormatSelector {
 
   /// Deep copy of a trained selector: a fresh MergeNet with identical
   /// architecture and weights (and int8 plan). For callers that need an
-  /// owned, mutable model — training, publishing, the legacy one-selector
-  /// serving constructors; serving itself shares one immutable snapshot.
+  /// owned, mutable model — training, publishing, the boot model of a
+  /// ModelRegistry; serving itself shares one immutable snapshot.
   /// O(#params); no retraining.
   FormatSelector clone() const;
 

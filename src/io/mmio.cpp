@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -62,9 +63,18 @@ Csr read_matrix_market(std::istream& is) {
   size_line >> rows >> cols >> entries;
   if (!(rows > 0 && cols > 0 && entries >= 0))
     fail_parse(line_no, "bad size line: '" + line + "'");
+  constexpr std::int64_t kMaxDim = std::numeric_limits<index_t>::max();
+  if (rows > kMaxDim || cols > kMaxDim)
+    fail_parse(line_no, "size line dimensions exceed " +
+                            std::to_string(kMaxDim) + ": '" + line + "'");
 
+  // The entry count is only a claim until the entries arrive: reserve at
+  // most a bounded prefix and let the vector grow with the data, so a
+  // lying size line fails as truncated data rather than as an allocation.
+  constexpr std::int64_t kMaxReserve = std::int64_t{1} << 20;
   std::vector<Triplet> ts;
-  ts.reserve(static_cast<std::size_t>(entries) * (sym || skew ? 2 : 1));
+  ts.reserve(static_cast<std::size_t>(std::min(entries, kMaxReserve)) *
+             (sym || skew ? 2 : 1));
   for (std::int64_t k = 0; k < entries; ++k) {
     if (!std::getline(is, line))
       fail_parse(line_no, "truncated data: expected " +

@@ -1,8 +1,8 @@
 // FeedbackCollector — bounded lock-free MPSC stream of measured outcomes.
 //
-// The feedback half of the online-learning loop (DESIGN.md §12): serving
-// paths that actually *ran* SpMV — AdaptiveSpmv::apply's first-apply probe
-// and SelectionService's sampled miss path — publish
+// The feedback half of the online-learning loop (DESIGN.md §12): the
+// serving path — SelectionService's sampled miss path, which times the
+// candidate formats' SpMV on the missed matrix — publishes
 //
 //   FeedbackSample { fingerprint, CNN representation, measured per-format
 //                    SpMV seconds }

@@ -130,22 +130,7 @@ struct ReplicaRouter::HedgeState {
 };
 
 ReplicaRouter::ReplicaRouter(ModelRegistry& registry, RouterOptions opts)
-    : ReplicaRouter(nullptr, &registry, std::move(opts)) {}
-
-ReplicaRouter::ReplicaRouter(const FormatSelector& selector,
-                             RouterOptions opts)
-    : ReplicaRouter(
-          [&selector] {
-            DNNSPMV_CHECK_ERRC(selector.trained(), errc::not_trained,
-                               "ReplicaRouter needs a trained FormatSelector");
-            return std::make_unique<ModelRegistry>(selector.clone());
-          }(),
-          nullptr, std::move(opts)) {}
-
-ReplicaRouter::ReplicaRouter(std::unique_ptr<ModelRegistry> owned,
-                             ModelRegistry* registry, RouterOptions opts)
-    : owned_registry_(std::move(owned)),
-      registry_(registry ? *registry : *owned_registry_),
+    : registry_(registry),
       opts_(std::move(opts)),
       ring_(opts_.replicas, opts_.vnodes),
       prefix_(next_router_prefix()),
@@ -330,11 +315,6 @@ void ReplicaRouter::run_hedger() {
 }
 
 std::future<std::int32_t> ReplicaRouter::submit(
-    const Csr& a, std::optional<std::chrono::microseconds> deadline) {
-  return submit(a, SpOp::kSpmv, deadline);
-}
-
-std::future<std::int32_t> ReplicaRouter::submit(
     const Csr& a, SpOp op,
     std::optional<std::chrono::microseconds> deadline) {
   if (stopped_.load(std::memory_order_acquire)) return shutdown_future();
@@ -422,22 +402,6 @@ std::int32_t ReplicaRouter::predict_index(
   const std::int32_t idx = fut.get();
   latency_us_.observe_seconds(timer.seconds());
   return idx;
-}
-
-std::int32_t ReplicaRouter::predict_index(
-    const Csr& a, std::optional<std::chrono::microseconds> deadline) {
-  return predict_index(a, SpOp::kSpmv, deadline);
-}
-
-Format ReplicaRouter::predict(
-    const Csr& a, SpOp op, std::optional<std::chrono::microseconds> deadline) {
-  return candidates()[static_cast<std::size_t>(
-      predict_index(a, op, deadline))];
-}
-
-Format ReplicaRouter::predict(
-    const Csr& a, std::optional<std::chrono::microseconds> deadline) {
-  return predict(a, SpOp::kSpmv, deadline);
 }
 
 RouterStats ReplicaRouter::snapshot() const {

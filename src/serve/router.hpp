@@ -146,11 +146,6 @@ class ReplicaRouter {
   /// hot-swaps every replica at its next batch boundary. The registry must
   /// outlive the router.
   explicit ReplicaRouter(ModelRegistry& registry, RouterOptions opts = {});
-
-  /// Legacy convenience: clones `selector` into a private owned registry
-  /// (version 1). The selector may be discarded after construction.
-  explicit ReplicaRouter(const FormatSelector& selector,
-                         RouterOptions opts = {});
   ~ReplicaRouter();
 
   ReplicaRouter(const ReplicaRouter&) = delete;
@@ -161,26 +156,15 @@ class ReplicaRouter {
   /// uses the raw (op-agnostic) fingerprint — both ops of one matrix land
   /// on the same replica, which keeps its stats/rep work cache-warm — and
   /// each replica op-scopes its cache keys underneath.
-  std::future<std::int32_t> submit(const Csr& a,
-                                   std::optional<std::chrono::microseconds>
-                                       deadline = std::nullopt);
-  std::future<std::int32_t> submit(const Csr& a, SpOp op,
+  std::future<std::int32_t> submit(const Csr& a, SpOp op = SpOp::kSpmv,
                                    std::optional<std::chrono::microseconds>
                                        deadline = std::nullopt);
 
-  /// Blocking wrappers; end-to-end latency lands in router latency_us.
-  std::int32_t predict_index(const Csr& a,
+  /// Blocking submit-and-wait (an index into candidates()); end-to-end
+  /// latency lands in router latency_us.
+  std::int32_t predict_index(const Csr& a, SpOp op = SpOp::kSpmv,
                              std::optional<std::chrono::microseconds>
                                  deadline = std::nullopt);
-  Format predict(const Csr& a,
-                 std::optional<std::chrono::microseconds> deadline =
-                     std::nullopt);
-  std::int32_t predict_index(const Csr& a, SpOp op,
-                             std::optional<std::chrono::microseconds>
-                                 deadline = std::nullopt);
-  Format predict(const Csr& a, SpOp op,
-                 std::optional<std::chrono::microseconds> deadline =
-                     std::nullopt);
 
   /// Stops the hedge timer, then drains every replica. Idempotent; also
   /// called by the destructor. In-flight requests still resolve.
@@ -204,15 +188,12 @@ class ReplicaRouter {
     return services_.front()->candidates();
   }
 
-  /// The registry every replica subscribes to (the owned one for the
-  /// legacy selector constructor) — publish() here to hot-swap the tier.
+  /// The registry every replica subscribes to — publish() here to
+  /// hot-swap the tier.
   ModelRegistry& registry() const { return registry_; }
 
  private:
   struct HedgeState;
-
-  ReplicaRouter(std::unique_ptr<ModelRegistry> owned, ModelRegistry* registry,
-                RouterOptions opts);
 
   /// First-wins resolution of one dispatch's outcome into the state.
   void complete(const std::shared_ptr<HedgeState>& s, std::int32_t idx,
@@ -225,7 +206,6 @@ class ReplicaRouter {
   void run_hedger();
   void refresh_budget();
 
-  std::unique_ptr<ModelRegistry> owned_registry_;  // legacy ctor only
   ModelRegistry& registry_;
   RouterOptions opts_;
   HashRing ring_;

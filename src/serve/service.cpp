@@ -31,13 +31,6 @@ FallbackSelector make_fallback(const ModelRegistry& registry,
   return *opts.fallback;
 }
 
-std::unique_ptr<ModelRegistry> make_owned_registry(
-    const FormatSelector& selector) {
-  DNNSPMV_CHECK_ERRC(selector.trained(), errc::not_trained,
-                     "SelectionService needs a trained FormatSelector");
-  return std::make_unique<ModelRegistry>(selector.clone());
-}
-
 /// Ready future carrying `idx`; also consumes `done` on the success path.
 std::future<std::int32_t> ready_future(std::int32_t idx, AnswerSource src,
                                        DoneCallback& done) {
@@ -55,18 +48,7 @@ std::future<std::int32_t> ready_future(std::int32_t idx, AnswerSource src,
 
 SelectionService::SelectionService(ModelRegistry& registry,
                                    ServiceOptions opts)
-    : SelectionService(nullptr, &registry, std::move(opts)) {}
-
-SelectionService::SelectionService(const FormatSelector& selector,
-                                   ServiceOptions opts)
-    : SelectionService(make_owned_registry(selector), nullptr,
-                       std::move(opts)) {}
-
-SelectionService::SelectionService(std::unique_ptr<ModelRegistry> owned,
-                                   ModelRegistry* registry,
-                                   ServiceOptions opts)
-    : owned_registry_(std::move(owned)),
-      registry_(registry ? *registry : *owned_registry_),
+    : registry_(registry),
       subscription_(registry_),
       opts_(std::move(opts)),
       rep_builder_(registry_.current()->rep_builder()),
@@ -268,22 +250,6 @@ std::int32_t SelectionService::predict_index(
   const std::int32_t idx = fut.get();
   metrics_.record_latency(timer.seconds());
   return idx;
-}
-
-std::int32_t SelectionService::predict_index(
-    const Csr& a, std::optional<std::chrono::microseconds> deadline) {
-  return predict_index(a, SpOp::kSpmv, deadline);
-}
-
-Format SelectionService::predict(
-    const Csr& a, SpOp op, std::optional<std::chrono::microseconds> deadline) {
-  return candidates()[static_cast<std::size_t>(
-      predict_index(a, op, deadline))];
-}
-
-Format SelectionService::predict(
-    const Csr& a, std::optional<std::chrono::microseconds> deadline) {
-  return predict(a, SpOp::kSpmv, deadline);
 }
 
 ServiceStats SelectionService::snapshot() const {

@@ -56,11 +56,9 @@
 // fingerprinted to pick this replica adds stats+fingerprint (skipping the
 // O(nnz) rehash, counted in fp_reused); a hedged re-dispatch ships the
 // retained `inputs` and no matrix at all. Missing pieces are derived here,
-// in the calling thread. The old submit/submit_fingerprinted/
-// submit_prepared entry points survive one release as [[deprecated]]
-// inline forwarders. ServiceOptions::pin_cpus pins the worker pool to a
-// core/NUMA group and ServiceOptions::injector scopes fault injection per
-// replica.
+// in the calling thread; predict_index() is the one blocking wrapper
+// over it. ServiceOptions::pin_cpus pins the worker pool to a core/NUMA
+// group and ServiceOptions::injector scopes fault injection per replica.
 //
 // Online learning (ISSUE 8): the service serves a ModelRegistry
 // subscription, not a fixed selector. Workers probe for newly published
@@ -72,11 +70,11 @@
 // a stale prediction and never needs a cache clear. When
 // ServiceOptions::feedback is set, a sampled fraction of cache misses is
 // probed (per-format measured SpMV times) and published to the feedback
-// stream — the data the OnlineTrainer fine-tunes on. The legacy
-// selector-reference constructor wraps its selector in a private owned
-// registry, so existing callers keep working (version pinned at 1).
+// stream — the data the OnlineTrainer fine-tunes on. A fixed
+// selector is served by wrapping a clone of it in a registry:
+//   ModelRegistry reg(selector.clone());  SelectionService svc(reg);
 //
-// Thread safety: predict()/predict_index()/submit()/snapshot() may be
+// Thread safety: predict_index()/submit()/snapshot() may be
 // called concurrently from any number of threads. shutdown() (or
 // destruction) drains in-flight requests before returning; requests that
 // arrive afterwards fail with DnnspmvError(errc::service_shutdown).
@@ -93,7 +91,6 @@
 #include <chrono>
 #include <functional>
 #include <future>
-#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -186,35 +183,18 @@ class SelectionService {
   /// Serves `registry`'s current version and hot-swaps to every later
   /// publish. The registry must outlive the service.
   explicit SelectionService(ModelRegistry& registry, ServiceOptions opts = {});
-
-  /// Legacy convenience: `selector` must be trained; it is cloned into a
-  /// private owned registry (version 1, never republished unless you
-  /// reach it through registry()). The selector may be discarded after
-  /// construction.
-  explicit SelectionService(const FormatSelector& selector,
-                            ServiceOptions opts = {});
   ~SelectionService();
 
   SelectionService(const SelectionService&) = delete;
   SelectionService& operator=(const SelectionService&) = delete;
 
-  /// Blocking predict; the end-to-end latency lands in the histogram.
-  /// With a deadline, throws DnnspmvError(errc::deadline_exceeded) if the
-  /// request expired queued (see class comment for the full semantics).
-  Format predict(const Csr& a,
-                 std::optional<std::chrono::microseconds> deadline =
-                     std::nullopt);
-  std::int32_t predict_index(const Csr& a,
-                             std::optional<std::chrono::microseconds>
-                                 deadline = std::nullopt);
-
-  /// Op-aware flavours: the answer comes from the model's head for `op`
-  /// (requires the registry's model to support it — see
-  /// FormatSelector::supports).
-  Format predict(const Csr& a, SpOp op,
-                 std::optional<std::chrono::microseconds> deadline =
-                     std::nullopt);
-  std::int32_t predict_index(const Csr& a, SpOp op,
+  /// Blocking submit-and-wait: an index into candidates() from the
+  /// model's head for `op` (the registry's model must support it — see
+  /// FormatSelector::supports); the end-to-end latency lands in the
+  /// histogram. With a deadline, throws DnnspmvError(errc::
+  /// deadline_exceeded) if the request expired queued (see class comment
+  /// for the full semantics).
+  std::int32_t predict_index(const Csr& a, SpOp op = SpOp::kSpmv,
                              std::optional<std::chrono::microseconds>
                                  deadline = std::nullopt);
 
@@ -245,8 +225,8 @@ class SelectionService {
   }
   const ServiceOptions& options() const { return opts_; }
 
-  /// The registry this service subscribes to (the owned one for the
-  /// legacy selector constructor) — publish() here to hot-swap the model.
+  /// The registry this service subscribes to — publish() here to
+  /// hot-swap the model.
   ModelRegistry& registry() const { return registry_; }
 
   /// Model version this service's workers have adopted (may briefly lag
@@ -262,11 +242,6 @@ class SelectionService {
   const RepBufferPool& rep_pool() const { return rep_pool_; }
 
  private:
-  /// Common constructor: exactly one of `owned`/`registry` is the model
-  /// source (owned != null for the legacy selector path).
-  SelectionService(std::unique_ptr<ModelRegistry> owned,
-                   ModelRegistry* registry, ServiceOptions opts);
-
   /// Immediate fallback answer for a shed miss (stats already computed).
   /// Consumes `done` (fires it with the degraded answer) when set.
   std::future<std::int32_t> answer_degraded(const MatrixStats& st,
@@ -293,7 +268,6 @@ class SelectionService {
   void maybe_publish_feedback(const Csr& a, std::uint64_t fp,
                               const std::vector<Tensor>& inputs);
 
-  std::unique_ptr<ModelRegistry> owned_registry_;  // legacy ctor only
   ModelRegistry& registry_;
   ModelSubscription subscription_;  // must precede batcher_
   ServiceOptions opts_;

@@ -102,6 +102,32 @@ TEST(Mmio, RejectsTruncatedData) {
   EXPECT_THROW(read_matrix_market(is), std::runtime_error);
 }
 
+TEST(Mmio, SizeLineLiesAreParseErrorsAtTheSizeLine) {
+  // Each size line (line 2) claims more than index_t or memory can hold;
+  // none may truncate silently or escape as an untyped allocation error.
+  const char* const kLies[] = {
+      "4294967297 4294967297 1\n1 1 1.0\n",  // dims wrap to 1x1
+      "2147483648 2 0\n",                     // rows = INT32_MAX + 1
+      "2 2 4611686018427387904\n",            // 2^62 entries
+      "2 2 1099511627776\n",                  // 2^40 entries
+  };
+  for (const char* lie : kLies) {
+    SCOPED_TRACE(lie);
+    std::istringstream is(
+        std::string("%%MatrixMarket matrix coordinate real general\n") + lie);
+    try {
+      read_matrix_market(is);
+      ADD_FAILURE() << "expected DnnspmvError";
+    } catch (const DnnspmvError& e) {
+      EXPECT_EQ(e.code(), errc::parse_error) << e.what();
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "untyped exception: " << e.what();
+    }
+  }
+}
+
 TEST(Mmio, ParseErrorsCarryLineAndFileContext) {
   // Bad entry on line 3 of the stream → typed parse_error naming the line.
   std::istringstream is(

@@ -272,8 +272,9 @@ TEST(RepPool, ServiceRecyclesMissBuffersAndReportsRepBuild) {
   ServiceOptions sopts;
   sopts.num_workers = 2;
   {
-    SelectionService service(sel, sopts);
-    for (const auto& entry : corpus) (void)service.predict(entry.matrix);
+    ModelRegistry registry(sel.clone());
+    SelectionService service(registry, sopts);
+    for (const auto& entry : corpus) (void)service.predict_index(entry.matrix);
     const ServiceStats stats = service.snapshot();
     // Every miss built its inputs through the streaming builder and timed
     // the build into serve<N>.rep_build_us.

@@ -161,7 +161,8 @@ TEST(RouterRing, SiblingIsDistinctStableAndDeterministic) {
 
 TEST(RouterService, SubmitFingerprintedSkipsRehashAndRetainsInputs) {
   auto& p = pipeline();
-  SelectionService svc(p.selector);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService svc(registry);
   const Csr& a = p.corpus[0].matrix;
   const MatrixStats st = compute_stats(a);
   const std::uint64_t fp = structural_fingerprint(st);
@@ -204,7 +205,8 @@ TEST(RouterService, SubmitFingerprintedSkipsRehashAndRetainsInputs) {
 
 TEST(RouterService, SubmitPreparedServesCachesAndFiresCallback) {
   auto& p = pipeline();
-  SelectionService svc(p.selector);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService svc(registry);
   const Csr& a = p.corpus[1].matrix;
   const MatrixStats st = compute_stats(a);
   const std::uint64_t fp = structural_fingerprint(st);
@@ -240,7 +242,8 @@ TEST(Router, MatchesDirectPredictionsAndAggregatesStats) {
   RouterOptions opts;
   opts.replicas = 3;
   opts.service.num_workers = 1;
-  ReplicaRouter router(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  ReplicaRouter router(registry, opts);
   ASSERT_EQ(router.num_replicas(), 3u);
   ASSERT_EQ(router.candidates(), p.selector.candidates());
 
@@ -252,7 +255,9 @@ TEST(Router, MatchesDirectPredictionsAndAggregatesStats) {
   // Same keys again: served from the replicas' caches, same answers.
   for (int i = 0; i < kN; ++i) {
     const Csr& a = p.corpus[static_cast<std::size_t>(i)].matrix;
-    EXPECT_EQ(router.predict(a), p.selector.predict(a));
+    EXPECT_EQ(router.candidates()[static_cast<std::size_t>(
+                  router.predict_index(a))],
+              p.selector.predict(a));
   }
 
   const RouterStats s = router.snapshot();
@@ -274,7 +279,8 @@ TEST(Router, PlacementCoversReplicasAndCacheIsDivided) {
   RouterOptions opts;
   opts.replicas = 2;
   opts.service.cache_capacity = 1024;
-  ReplicaRouter router(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  ReplicaRouter router(registry, opts);
   ASSERT_EQ(router.placement().size(), 2u);
   for (const affinity::CpuGroup& g : router.placement())
     EXPECT_FALSE(g.cpus.empty());
@@ -287,7 +293,7 @@ TEST(Router, PlacementCoversReplicasAndCacheIsDivided) {
   RouterOptions whole = opts;
   whole.divide_cache = false;
   whole.pin_workers = false;
-  ReplicaRouter undivided(p.selector, whole);
+  ReplicaRouter undivided(registry, whole);
   EXPECT_TRUE(undivided.placement().empty());
   EXPECT_EQ(undivided.replica(0).options().cache_capacity, 1024u);
 }
@@ -309,7 +315,8 @@ TEST(RouterHedge, ResolvesExactlyOnceUnderForcedRace) {
   opts.service.num_workers = 1;
   opts.pin_workers = false;
   opts.injectors = {&slow_all, &slow_all};
-  ReplicaRouter router(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  ReplicaRouter router(registry, opts);
 
   const int kN = 20;
   std::vector<std::future<std::int32_t>> futs;
@@ -352,7 +359,8 @@ TEST(Router, StragglerHedgingCutsTailLatency) {
     opts.service.num_workers = 1;
     opts.pin_workers = false;
     opts.injectors = {&straggler, nullptr};
-    ReplicaRouter router(p.selector, opts);
+    ModelRegistry registry(p.selector.clone());
+    ReplicaRouter router(registry, opts);
 
     std::vector<double> lat_us;
     for (int i = 0; i < 40; ++i) {
@@ -392,7 +400,8 @@ TEST(Router, ShutdownDrainsInFlightAndRejectsAfter) {
   opts.hedge_fixed_us = 500;
   opts.service.num_workers = 1;
   opts.pin_workers = false;
-  ReplicaRouter router(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  ReplicaRouter router(registry, opts);
 
   std::vector<std::future<std::int32_t>> futs;
   for (int i = 0; i < 12; ++i)

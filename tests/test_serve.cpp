@@ -176,18 +176,12 @@ TEST(RequestQueue, PopBlocksUntilPush) {
 TEST(PredictBatch, MatchesSinglePredictions) {
   auto& p = pipeline();
   std::vector<const Csr*> ptrs;
-  std::vector<Csr> mats;
-  for (int i = 0; i < 24; ++i) {
+  for (int i = 0; i < 24; ++i)
     ptrs.push_back(&p.corpus[static_cast<std::size_t>(i)].matrix);
-    mats.push_back(p.corpus[static_cast<std::size_t>(i)].matrix);
-  }
   const std::vector<std::int32_t> batched = p.selector.predict_index_batch(ptrs);
-  const std::vector<Format> batched_fmt = p.selector.predict_batch(mats);
   ASSERT_EQ(batched.size(), ptrs.size());
-  for (std::size_t i = 0; i < ptrs.size(); ++i) {
+  for (std::size_t i = 0; i < ptrs.size(); ++i)
     EXPECT_EQ(batched[i], p.selector.predict_index(*ptrs[i])) << "matrix " << i;
-    EXPECT_EQ(batched_fmt[i], p.selector.predict(*ptrs[i])) << "matrix " << i;
-  }
   EXPECT_TRUE(p.selector.predict_index_batch({}).empty());
 }
 
@@ -196,13 +190,15 @@ TEST(SelectionService, ServesCachedAndUncachedCorrectly) {
   ServiceOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 8;
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
 
   const Csr& a = p.corpus[0].matrix;
   const std::int32_t direct = p.selector.predict_index(a);
   EXPECT_EQ(service.predict_index(a), direct);  // miss → batcher
   EXPECT_EQ(service.predict_index(a), direct);  // hit → cache
-  EXPECT_EQ(service.predict(a),
+  EXPECT_EQ(service.candidates()[static_cast<std::size_t>(
+                service.predict_index(a))],
             p.selector.candidates()[static_cast<std::size_t>(direct)]);
 
   const ServiceStats s = service.snapshot();
@@ -222,7 +218,8 @@ TEST(SelectionService, ShutdownAnswersInFlightThenRejects) {
   ServiceOptions opts;
   opts.num_workers = 1;
   opts.max_batch = 4;
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
 
   std::vector<std::future<std::int32_t>> futs;
   for (int i = 0; i < 6; ++i)
@@ -251,7 +248,8 @@ TEST(SelectionServiceObs, SnapshotMatchesRegistryExport) {
   ServiceOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 8;
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
 
   for (int i = 0; i < 5; ++i)
     service.predict_index(p.corpus[static_cast<std::size_t>(i % 3)].matrix);
@@ -286,7 +284,7 @@ TEST(SelectionServiceObs, SnapshotMatchesRegistryExport) {
   EXPECT_EQ(reg.histograms.at(prefix + "batch_size").count, s.batches);
 
   // A second service registers under a different prefix: no sharing.
-  SelectionService other(p.selector, opts);
+  SelectionService other(registry, opts);
   EXPECT_NE(other.metrics().prefix(), prefix);
   EXPECT_EQ(other.snapshot().requests, 0u);
 }
@@ -297,7 +295,8 @@ TEST(SelectionService, MultithreadedHammerMatchesDirectPredictions) {
   opts.num_workers = 2;
   opts.max_batch = 16;
   opts.cache_capacity = 64;
-  SelectionService service(p.selector, opts);
+  ModelRegistry registry(p.selector.clone());
+  SelectionService service(registry, opts);
 
   constexpr int kPool = 8;
   constexpr int kThreads = 4;
@@ -418,12 +417,6 @@ TEST(AdaptiveSpmv, ReusesPredictionCacheAcrossConstructions) {
   const AdaptiveSpmv uncached(p.selector, a, nullptr);
   EXPECT_FALSE(uncached.cache_hit());
   EXPECT_EQ(uncached.format(), first.format());
-
-  // The default constructor memoizes through the shared cache.
-  const AdaptiveSpmv shared1(p.selector, a);
-  const AdaptiveSpmv shared2(p.selector, a);
-  EXPECT_TRUE(shared2.cache_hit());
-  EXPECT_EQ(shared1.format(), shared2.format());
 }
 
 TEST(ServiceMetrics, LatencyHistogramBucketsAndQuantiles) {
