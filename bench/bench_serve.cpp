@@ -54,8 +54,8 @@
 //   accept_swap_overhead_1pct— steady-state cached throughput with a
 //                              publisher hammering new versions is within
 //                              1% of the no-publish baseline (median of 5
-//                              interleaved pairs after a discarded warm-up
-//                              pair; IQR in the JSON).
+//                              interleaved pairs of 3-run arms after a
+//                              discarded warm-up pair; IQR in the JSON).
 //
 // After the sweep, the best configuration is re-run in 9 interleaved
 // pairs of 20-run arms with span tracing off and on to measure the
@@ -213,20 +213,21 @@ struct OverloadResult {
 OverloadResult run_overload(const FormatSelector& sel,
                             const std::vector<CorpusEntry>& corpus,
                             std::chrono::milliseconds deadline) {
+  fault::Injector faults;
+  fault::Plan slow;   // every forward drags: the CNN path is saturated
+  slow.delay_prob = 1.0;
+  slow.delay_us = 3'000;
+  faults.configure(fault::Site::kForward, slow);
+
   ServiceOptions opts;
   opts.num_workers = 1;
   opts.max_batch = 4;
   opts.queue_capacity = 16;
   opts.shed_watermark = 0.5;
   opts.push_retries = 2;
-  opts.push_backoff_us = 50;
+  opts.injector = &faults;
   ModelRegistry registry(sel.clone());
   SelectionService service(registry, opts);
-
-  fault::Plan slow;   // every forward drags: the CNN path is saturated
-  slow.delay_prob = 1.0;
-  slow.delay_us = 3'000;
-  fault::ScopedFaults faults(fault::Site::kForward, slow);
 
   // Closed-loop clients: in-flight requests ≈ kClients, so overload needs
   // more clients than the shed threshold (queue_capacity × watermark = 8).
@@ -593,10 +594,12 @@ int run_online_drift(BenchConfig cfg, const std::string& json_path) {
   // publisher landing a new version every 2 s (an aggressive cadence for
   // an online fine-tune loop — rounds are gated on fresh feedback, which
   // warm caches starve) vs. no publishes at all. A discarded warm-up pair,
-  // then the median of 5 interleaved pairs (paired_overhead): best-of-5
-  // ratios swung from -6.3% to +11.8% between identical runs on a loaded
-  // 4-core host. The fresh-matrix trickle keeps workers adopting (see
-  // run_swap_throughput).
+  // then the median of kSwapPairs interleaved pairs of kSwapRuns-run arms
+  // (paired_overhead): best-of-5 single-run ratios swung from -6.3% to
+  // +11.8% between identical runs on a loaded 4-core host. The
+  // fresh-matrix trickle keeps workers adopting (see run_swap_throughput).
+  constexpr int kSwapPairs = 5;
+  constexpr int kSwapRuns = 3;
   const Workload w = make_workload(on_b.corpus, 48, 100'000, cfg.seed);
   const std::vector<Csr> fresh_stream = [&] {
     CorpusSpec fs;
@@ -611,9 +614,11 @@ int run_online_drift(BenchConfig cfg, const std::string& json_path) {
   }();
   run_swap_throughput(registry, w, fresh_stream, 0);     // warm-up, discarded
   run_swap_throughput(registry, w, fresh_stream, 2000);  // warm-up, discarded
-  const PairedOverhead swap = paired_overhead(5, 1, [&](bool churn) {
-    return run_swap_throughput(registry, w, fresh_stream, churn ? 2000 : 0);
-  });
+  const PairedOverhead swap =
+      paired_overhead(kSwapPairs, kSwapRuns, [&](bool churn) {
+        return run_swap_throughput(registry, w, fresh_stream,
+                                   churn ? 2000 : 0);
+      });
   const double overhead_pct = swap.pct;
   const std::uint64_t churn_versions = registry.version();
 
@@ -625,10 +630,11 @@ int run_online_drift(BenchConfig cfg, const std::string& json_path) {
               recovered ? "yes" : "NO", 100.0 * acc, 100.0 * fresh_acc,
               versions, submitted, 100.0 * availability);
   std::printf("hot-swap overhead: %.0f req/s quiet, %.0f req/s with "
-              "publish-every-2s churn (median of 5 pairs %.2f%%, IQR "
-              "[%.2f, %.2f]%%, %llu versions published)\n",
-              swap.off_req_s, swap.on_req_s, overhead_pct, swap.q1_pct,
-              swap.q3_pct, static_cast<unsigned long long>(churn_versions));
+              "publish-every-2s churn (median of %d pairs of %d-run arms "
+              "%.2f%%, IQR [%.2f, %.2f]%%, %llu versions published)\n",
+              swap.off_req_s, swap.on_req_s, kSwapPairs, kSwapRuns,
+              overhead_pct, swap.q1_pct, swap.q3_pct,
+              static_cast<unsigned long long>(churn_versions));
 
   json.field("final_accuracy_on_b", acc);
   json.field("versions_to_recover", versions);
@@ -737,8 +743,7 @@ int run(int argc, char** argv) {
           "%8d %8d %12.0f %8.1fx %8.1f%% %10.2f %9.0fus %9.0fus %9.0fus\n",
           t, b, r.throughput, r.throughput / base,
           100.0 * r.stats.hit_rate(), r.stats.mean_batch(),
-          1e6 * r.stats.latency_quantile(0.50),
-          1e6 * r.stats.latency_quantile(0.95),
+          r.stats.latency.quantile(0.50), r.stats.latency.quantile(0.95),
           r.stats.rep_build.quantile(0.50));
       met_throughput |= r.throughput >= 3.0 * base;
       met_hits |= r.stats.hit_rate() >= 0.9;
@@ -757,8 +762,8 @@ int run(int argc, char** argv) {
       json.field("vs_baseline", r.throughput / base);
       json.field("hit_rate", r.stats.hit_rate());
       json.field("mean_batch", r.stats.mean_batch());
-      json.field("p50_latency_us", 1e6 * r.stats.latency_quantile(0.50));
-      json.field("p99_latency_us", 1e6 * r.stats.latency_quantile(0.99));
+      json.field("p50_latency_us", r.stats.latency.quantile(0.50));
+      json.field("p99_latency_us", r.stats.latency.quantile(0.99));
       // Miss-path representation build (serve<N>.rep_build_us): one sample
       // per cache miss, so count tracks misses and the quantiles isolate
       // the streaming builder's share of miss latency.

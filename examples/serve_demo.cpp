@@ -232,8 +232,8 @@ int main(int argc, char** argv) {
     std::printf("batches       %llu (mean size %.2f, max %llu)\n",
                 static_cast<unsigned long long>(s.batches), s.mean_batch(),
                 static_cast<unsigned long long>(s.max_batch));
-    std::printf("latency p50   %.0f us\n", 1e6 * s.latency_quantile(0.5));
-    std::printf("latency p95   %.0f us\n", 1e6 * s.latency_quantile(0.95));
+    std::printf("latency p50   %.0f us\n", s.latency.quantile(0.5));
+    std::printf("latency p95   %.0f us\n", s.latency.quantile(0.95));
     std::printf("rep build     p50 %.0f us, mean %.0f us over %llu misses\n",
                 s.rep_build.quantile(0.5), s.rep_build.mean(),
                 static_cast<unsigned long long>(s.rep_build.count));

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/binary_io.hpp"
 #include "common/error.hpp"
 
 namespace dnnspmv {
@@ -28,14 +29,6 @@ void write_pod(std::ofstream& os, const T& v) {
 template <typename T>
 bool read_pod(std::ifstream& is, T* v) {
   is.read(reinterpret_cast<char*>(v), sizeof(T));
-  return static_cast<bool>(is);
-}
-
-template <typename T>
-bool read_vec(std::ifstream& is, std::size_t n, std::vector<T>* v) {
-  v->resize(n);
-  is.read(reinterpret_cast<char*>(v->data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
   return static_cast<bool>(is);
 }
 
@@ -179,7 +172,8 @@ bool load_corpus(const std::string& path, std::vector<CorpusEntry>* out) {
   if (!read_pod(is, &version) || version != kCorpusVersion ||
       !read_pod(is, &count))
     return false;
-  out->reserve(count);
+  // Entries and their arrays grow as bytes arrive (read_array), so a count
+  // or size field that lies ends in a short read, not a huge allocation.
   for (std::uint64_t i = 0; i < count; ++i) {
     std::int32_t cls = 0;
     CorpusEntry e;
@@ -192,10 +186,10 @@ bool load_corpus(const std::string& path, std::vector<CorpusEntry>* out) {
       return false;
     }
     e.gen_class = static_cast<GenClass>(cls);
-    if (!read_vec(is, static_cast<std::size_t>(e.matrix.rows) + 1,
-                  &e.matrix.ptr) ||
-        !read_vec(is, static_cast<std::size_t>(nnz), &e.matrix.idx) ||
-        !read_vec(is, static_cast<std::size_t>(nnz), &e.matrix.val) ||
+    if (!read_array(is, static_cast<std::size_t>(e.matrix.rows) + 1,
+                    &e.matrix.ptr) ||
+        !read_array(is, static_cast<std::size_t>(nnz), &e.matrix.idx) ||
+        !read_array(is, static_cast<std::size_t>(nnz), &e.matrix.val) ||
         e.matrix.ptr.front() != 0 || e.matrix.ptr.back() != nnz) {
       out->clear();
       return false;

@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <map>
 #include <ostream>
 
+#include "common/binary_io.hpp"
 #include "common/error.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv2d.hpp"
@@ -155,9 +157,11 @@ QuantizedWeightSet QuantizedWeightSet::load(std::istream& is) {
                      "bad quantized weight set magic");
   std::uint32_t n = 0;
   read_pod(is, n);
+  // The layer list and each layer's arrays grow as their bytes arrive, so
+  // a count or shape that lies fails on a short read, not an allocation.
   QuantizedWeightSet qws;
-  qws.layers.resize(n);
-  for (QLayer& l : qws.layers) {
+  for (std::uint32_t i = 0; i < n; ++i) {
+    QLayer l;
     read_pod(is, l.seq);
     read_pod(is, l.index);
     read_pod(is, l.kind);
@@ -166,19 +170,16 @@ QuantizedWeightSet QuantizedWeightSet::load(std::istream& is) {
     read_pod(is, l.act_scale);
     read_pod(is, l.act_zp);
     DNNSPMV_CHECK_ERRC(
-        l.rows > 0 && l.cols > 0 && (l.kind == QLayer::kConv ||
-                                     l.kind == QLayer::kDense),
+        l.rows > 0 && l.cols > 0 &&
+            l.cols <= std::numeric_limits<std::int64_t>::max() / l.rows &&
+            (l.kind == QLayer::kConv || l.kind == QLayer::kDense),
         errc::data_error, "corrupt quantized layer record");
-    l.w_scale.resize(static_cast<std::size_t>(l.rows));
-    l.bias.resize(static_cast<std::size_t>(l.rows));
-    l.wq.resize(static_cast<std::size_t>(l.rows * l.cols));
-    is.read(reinterpret_cast<char*>(l.w_scale.data()),
-            static_cast<std::streamsize>(l.w_scale.size() * sizeof(float)));
-    is.read(reinterpret_cast<char*>(l.bias.data()),
-            static_cast<std::streamsize>(l.bias.size() * sizeof(float)));
-    is.read(reinterpret_cast<char*>(l.wq.data()),
-            static_cast<std::streamsize>(l.wq.size()));
-    DNNSPMV_CHECK_MSG(is.good(), "truncated quantized weight set");
+    const auto rows = static_cast<std::size_t>(l.rows);
+    DNNSPMV_CHECK_ERRC(
+        read_array(is, rows, &l.w_scale) && read_array(is, rows, &l.bias) &&
+            read_array(is, rows * static_cast<std::size_t>(l.cols), &l.wq),
+        errc::data_error, "truncated quantized weight set");
+    qws.layers.push_back(std::move(l));
   }
   return qws;
 }

@@ -8,22 +8,9 @@
 
 namespace dnnspmv {
 
-AnyFormatMatrix AdaptiveSpmv::convert_or_csr(const Csr& matrix,
-                                             Format format,
-                                             bool& fell_back) {
-  auto stored = AnyFormatMatrix::convert(matrix, format);
-  if (stored) {
-    fell_back = false;
-    return std::move(*stored);
-  }
-  fell_back = true;
-  return *AnyFormatMatrix::convert(matrix, Format::kCsr);  // never refuses
-}
-
-AdaptiveSpmv::AdaptiveSpmv(const FormatSelector& selector, const Csr& matrix,
-                           PredictionCache* cache)
-    : stored_(*AnyFormatMatrix::convert(matrix, Format::kCsr)) {
-  Timer predict_timer;
+Format AdaptiveSpmv::predict(const FormatSelector& selector,
+                             const Csr& matrix, PredictionCache* cache) {
+  Timer timer;
   std::int32_t idx = 0;
   if (cache) {
     // Same cache key space as the service: structural fingerprint, mixed
@@ -39,20 +26,26 @@ AdaptiveSpmv::AdaptiveSpmv(const FormatSelector& selector, const Csr& matrix,
   } else {
     idx = selector.predict_index(matrix);
   }
-  prediction_seconds_ = predict_timer.seconds();
-  Timer convert_timer;
-  stored_ = convert_or_csr(
-      matrix, selector.candidates()[static_cast<std::size_t>(idx)],
-      fell_back_);
-  conversion_seconds_ = convert_timer.seconds();
+  prediction_seconds_ = timer.seconds();
+  return selector.candidates()[static_cast<std::size_t>(idx)];
 }
 
-AdaptiveSpmv::AdaptiveSpmv(const Csr& matrix, Format format)
-    : stored_(*AnyFormatMatrix::convert(matrix, Format::kCsr)) {
-  Timer convert_timer;
-  stored_ = convert_or_csr(matrix, format, fell_back_);
-  conversion_seconds_ = convert_timer.seconds();
+AnyFormatMatrix AdaptiveSpmv::convert_or_csr(const Csr& matrix,
+                                             Format format) {
+  Timer timer;
+  auto stored = AnyFormatMatrix::convert(matrix, format);
+  fell_back_ = !stored;
+  if (fell_back_) stored = AnyFormatMatrix::convert(matrix, Format::kCsr);
+  conversion_seconds_ = timer.seconds();
+  return std::move(*stored);  // CSR never refuses
 }
+
+AdaptiveSpmv::AdaptiveSpmv(const FormatSelector& selector, const Csr& matrix,
+                           PredictionCache* cache)
+    : stored_(convert_or_csr(matrix, predict(selector, matrix, cache))) {}
+
+AdaptiveSpmv::AdaptiveSpmv(const Csr& matrix, Format format)
+    : stored_(convert_or_csr(matrix, format)) {}
 
 void AdaptiveSpmv::apply(std::span<const double> x,
                          std::span<double> y) const {

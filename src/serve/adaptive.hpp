@@ -56,14 +56,18 @@ class AdaptiveSpmv {
   double conversion_seconds() const { return conversion_seconds_; }
 
  private:
-  static AnyFormatMatrix convert_or_csr(const Csr& matrix, Format format,
-                                        bool& fell_back);
+  /// Timed prediction (through `cache` when given); sets cache_hit_.
+  Format predict(const FormatSelector& selector, const Csr& matrix,
+                 PredictionCache* cache);
+  /// Timed single conversion into `format`, or CSR when it refuses; sets
+  /// fell_back_.
+  AnyFormatMatrix convert_or_csr(const Csr& matrix, Format format);
 
-  AnyFormatMatrix stored_;
   bool fell_back_ = false;
   bool cache_hit_ = false;
   double prediction_seconds_ = 0.0;
   double conversion_seconds_ = 0.0;
+  AnyFormatMatrix stored_;  // last: its initializer sets the fields above
 };
 
 }  // namespace dnnspmv

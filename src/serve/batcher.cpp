@@ -31,7 +31,7 @@ Batcher::Batcher(ModelSubscription& models, RequestQueue& queue,
       cache_(cache),
       metrics_(metrics),
       max_batch_(max_batch),
-      injector_(injector ? injector : &fault::Injector::global()),
+      injector_(injector),
       pool_(pool) {
   DNNSPMV_CHECK(max_batch > 0);
 }
@@ -64,7 +64,6 @@ void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
   // still expire *during* the forward; it then gets its answer late. The
   // dequeue check bounds queue-wait, not compute.) The kWorkerPop fault
   // site drops requests the same way, with errc::fault_injected.
-  fault::Injector& inj = *injector_;
   std::size_t kept = 0;
   std::uint64_t expired = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -86,7 +85,8 @@ void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
       recycle(std::move(r.inputs));
       continue;
     }
-    if (inj.enabled() && inj.decide(fault::Site::kWorkerPop).should_drop) {
+    if (injector_ && injector_->enabled() &&
+        injector_->decide(fault::Site::kWorkerPop).should_drop) {
       fail_request(r, std::make_exception_ptr(DnnspmvError(
                           errc::fault_injected,
                           "injected drop at serve site 'worker_pop'")));
@@ -105,7 +105,7 @@ void Batcher::serve_batch(std::vector<PredictRequest>& batch, Workspace& ws,
   const std::size_t n = batch.size();
   std::vector<std::vector<Tensor>> prepared;
   try {
-    inj.inject(fault::Site::kForward);
+    if (injector_) injector_->inject(fault::Site::kForward);
     prepared.reserve(n);
     std::vector<SpOp> ops;
     ops.reserve(n);

@@ -46,7 +46,7 @@ namespace dnnspmv {
 
 class Batcher {
  public:
-  /// `injector` scopes fault injection (null → the process-global one), so
+  /// `injector` scopes fault injection (null → no site fires), so
   /// a router can make exactly one replica's workers unhealthy. `pool`
   /// (optional) receives every served request's input buffers back for
   /// reuse — the release half of the miss path's allocation-free loop.

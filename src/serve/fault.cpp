@@ -16,11 +16,6 @@ const char* site_name(Site s) {
   return "unknown";
 }
 
-Injector& Injector::global() {
-  static Injector injector;
-  return injector;
-}
-
 void Injector::configure(Site site, const Plan& plan) {
   std::lock_guard<std::mutex> lock(mu_);
   plans_[static_cast<std::size_t>(site)] = plan;

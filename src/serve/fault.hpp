@@ -5,15 +5,15 @@
 // system is unhealthy, which a unit test cannot arrange by asking nicely.
 // This hook lets tests (and the bench_serve overload scenario) make the
 // service unhealthy on purpose: each injection *site* in the serve code
-// consults the process-global Injector, which can be armed to delay, drop,
+// consults the Injector the service was given (ServiceOptions::injector,
+// or one of RouterOptions::injectors), which can be armed to delay, drop,
 // or throw there — either probabilistically (seeded, reproducible) or
 // scripted ("the next N arrivals at this site fault"), which is what makes
 // the degraded and timeout paths deterministically testable.
 //
-// The hooks are compiled in always and enabled at runtime: when no site is
-// armed (the default), a call site costs one relaxed atomic load, so
-// production binaries carry the hook at ~zero cost and an operator can
-// exercise failure drills without a rebuild.
+// The hooks are compiled in always: a service with no injector pays one
+// branch per site, and one with a disarmed injector one more relaxed
+// atomic load.
 //
 // Injected throws raise DnnspmvError(errc::fault_injected), so tests can
 // tell an injected failure from a real one.
@@ -63,14 +63,10 @@ struct Decision {
 
 class Injector {
  public:
-  /// A fresh, disarmed injector. ServiceOptions::injector lets one service
-  /// consult a private instance instead of the global one — how a router
-  /// bench/test turns exactly one replica into a straggler while its
-  /// siblings stay healthy.
+  /// A fresh, disarmed injector. Handing one to a single service is how a
+  /// router bench/test turns exactly one replica into a straggler while
+  /// its siblings stay healthy.
   Injector() = default;
-
-  /// The process-global injector every serve call site consults by default.
-  static Injector& global();
 
   /// Arms `site` with `plan` and enables the injector.
   void configure(Site site, const Plan& plan);
@@ -104,19 +100,6 @@ class Injector {
   std::array<Plan, kNumSites> plans_{};
   std::array<std::uint64_t, kNumSites> hits_{};
   Rng rng_{0xfa0175eedULL};
-};
-
-/// RAII arm/disarm for tests: resets the global injector on scope exit so
-/// one test's faults never outlive it.
-class ScopedFaults {
- public:
-  ScopedFaults() = default;
-  ScopedFaults(Site site, const Plan& plan) {
-    Injector::global().configure(site, plan);
-  }
-  ~ScopedFaults() { Injector::global().reset(); }
-  ScopedFaults(const ScopedFaults&) = delete;
-  ScopedFaults& operator=(const ScopedFaults&) = delete;
 };
 
 }  // namespace dnnspmv::fault

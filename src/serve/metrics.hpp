@@ -10,12 +10,10 @@
 // match the registry export for the same run because both read the same
 // atomics.
 //
-// Latency buckets are powers of two in microseconds: bucket i counts
-// requests with latency in [2^i, 2^(i+1)) µs, bucket 0 additionally takes
-// sub-microsecond requests and the last bucket takes everything slower.
+// Histograms are obs::Histogram snapshots in microseconds (power-of-two
+// buckets, see obs/metrics.hpp); their quantile() answers in µs.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -24,8 +22,6 @@
 #include "sparse/format.hpp"
 
 namespace dnnspmv {
-
-inline constexpr int kLatencyBuckets = obs::kHistogramBuckets;
 
 /// Plain-value snapshot of a ServiceMetrics block.
 struct ServiceStats {
@@ -48,10 +44,11 @@ struct ServiceStats {
   std::uint64_t cache_entries = 0;   // live cache entries at snapshot time
   std::uint64_t model_version = 0;   // registry version the workers serve
   std::uint64_t model_swaps = 0;     // hot swaps adopted, summed over workers
-  std::array<std::uint64_t, kLatencyBuckets> latency{};  // bucket counts
+  // End-to-end predict_index() latency, µs (the latency_us histogram).
+  obs::Histogram::Snapshot latency;
   // Miss-path representation-build time (the serve.prepare_inputs work),
-  // microsecond buckets like `latency`. Counts one observation per
-  // admitted miss that built inputs in the client thread.
+  // µs. Counts one observation per admitted miss that built inputs in the
+  // client thread.
   obs::Histogram::Snapshot rep_build;
 
   /// Fraction of requests that received a prediction (from the cache, the
@@ -75,13 +72,6 @@ struct ServiceStats {
                         : static_cast<double>(batched_samples) /
                               static_cast<double>(batches);
   }
-
-  /// Upper bound in seconds of bucket `i`.
-  static double bucket_upper_seconds(int i);
-
-  /// Approximate latency quantile (q in [0,1]) from the histogram: the
-  /// upper edge of the bucket containing the q-th recorded request.
-  double latency_quantile(double q) const;
 };
 
 class ServiceMetrics {

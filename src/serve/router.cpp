@@ -16,6 +16,12 @@ namespace {
 // bits the LRU shards already consume.
 constexpr std::uint64_t kRingPointSalt = 0x9d2c5680ca876f1dULL;
 constexpr std::uint64_t kRingLookupSalt = 0x6a09e667f3bcc909ULL;
+constexpr int kRingPointsPerReplica = 128;
+
+// Adaptive hedge budget: this quantile of the CNN-wait histogram, clamped.
+constexpr double kHedgeQuantile = 0.95;
+constexpr std::int64_t kHedgeMinUs = 500;
+constexpr std::int64_t kHedgeMaxUs = 100'000;
 
 std::string next_router_prefix() {
   static std::atomic<int> instance{0};
@@ -33,17 +39,14 @@ std::future<std::int32_t> shutdown_future() {
 
 // ---------------------------------------------------------------- HashRing
 
-HashRing::HashRing(int replicas, int vnodes) : replicas_(replicas) {
+HashRing::HashRing(int replicas) : replicas_(replicas) {
   DNNSPMV_CHECK_ERRC(replicas >= 1, errc::invalid_argument,
                      "HashRing needs at least one replica");
-  DNNSPMV_CHECK_ERRC(vnodes >= 1, errc::invalid_argument,
-                     "HashRing needs at least one vnode per replica");
-  ring_.reserve(static_cast<std::size_t>(replicas) *
-                static_cast<std::size_t>(vnodes));
+  ring_.reserve(static_cast<std::size_t>(replicas) * kRingPointsPerReplica);
   for (int r = 0; r < replicas; ++r) {
     const std::uint64_t seed =
         hash_combine(kRingPointSalt, static_cast<std::uint64_t>(r));
-    for (int v = 0; v < vnodes; ++v)
+    for (int v = 0; v < kRingPointsPerReplica; ++v)
       ring_.emplace_back(hash_combine(seed, static_cast<std::uint64_t>(v)), r);
   }
   std::sort(ring_.begin(), ring_.end());
@@ -132,7 +135,7 @@ struct ReplicaRouter::HedgeState {
 ReplicaRouter::ReplicaRouter(ModelRegistry& registry, RouterOptions opts)
     : registry_(registry),
       opts_(std::move(opts)),
-      ring_(opts_.replicas, opts_.vnodes),
+      ring_(opts_.replicas),
       prefix_(next_router_prefix()),
       requests_(obs::MetricsRegistry::global().counter(prefix_ + "requests")),
       hedges_(obs::MetricsRegistry::global().counter(prefix_ + "hedge")),
@@ -146,15 +149,9 @@ ReplicaRouter::ReplicaRouter(ModelRegistry& registry, RouterOptions opts)
       latency_us_(
           obs::MetricsRegistry::global().histogram(prefix_ + "latency_us")),
       budget_us_(opts_.hedge_fixed_us > 0 ? opts_.hedge_fixed_us
-                                          : opts_.hedge_min_us) {
+                                          : kHedgeMinUs) {
   DNNSPMV_CHECK_ERRC(opts_.replicas >= 1, errc::invalid_argument,
                      "need at least one replica");
-  DNNSPMV_CHECK_ERRC(opts_.hedge_quantile > 0.0 && opts_.hedge_quantile <= 1.0,
-                     errc::invalid_argument,
-                     "hedge_quantile must be in (0, 1]");
-  DNNSPMV_CHECK_ERRC(
-      opts_.hedge_min_us >= 0 && opts_.hedge_max_us >= opts_.hedge_min_us,
-      errc::invalid_argument, "need 0 <= hedge_min_us <= hedge_max_us");
 
   if (opts_.pin_workers)
     placement_ = affinity::plan_groups(affinity::detect_topology(),
@@ -165,9 +162,8 @@ ReplicaRouter::ReplicaRouter(ModelRegistry& registry, RouterOptions opts)
   depth_gauges_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ServiceOptions so = opts_.service;
-    if (opts_.divide_cache)
-      so.cache_capacity =
-          std::max<std::size_t>(64, opts_.service.cache_capacity / n);
+    so.cache_capacity =
+        std::max<std::size_t>(64, opts_.service.cache_capacity / n);
     if (i < placement_.size()) so.pin_cpus = placement_[i].cpus;
     if (i < opts_.injectors.size() && opts_.injectors[i])
       so.injector = opts_.injectors[i];
@@ -246,8 +242,8 @@ void ReplicaRouter::refresh_budget() {
   if (opts_.hedge_fixed_us > 0) return;
   const obs::Histogram::Snapshot snap = cnn_wait_us_.snapshot();
   if (snap.count == 0) return;
-  const auto q = static_cast<std::int64_t>(snap.quantile(opts_.hedge_quantile));
-  const std::int64_t b = std::clamp(q, opts_.hedge_min_us, opts_.hedge_max_us);
+  const auto q = static_cast<std::int64_t>(snap.quantile(kHedgeQuantile));
+  const std::int64_t b = std::clamp(q, kHedgeMinUs, kHedgeMaxUs);
   budget_us_.store(b, std::memory_order_relaxed);
   budget_gauge_.set(static_cast<double>(b));
 }

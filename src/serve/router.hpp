@@ -9,8 +9,8 @@
 //            ─────────────
 //            stats + fingerprint (once — replicas never rehash)
 //                  │
-//            consistent-hash ring  (vnodes; repeat matrices stay
-//                  │                cache-warm on one replica)
+//            consistent-hash ring  (128 points per replica; repeat
+//                  │                matrices stay cache-warm on one replica)
 //         ┌────────┴──────────┬──────────────────┐
 //      replica 0           replica 1    …     replica N-1
 //      registry subscriber registry subscriber   (one ModelRegistry is the
@@ -23,8 +23,9 @@
 //
 // Hedged re-dispatch: a cache miss enqueued on its primary replica is
 // watched by the router's hedge timer. If it is still unresolved after a
-// budget derived from the router's own CNN-wait histogram (quantile ×
-// clamp, or a fixed override), the retained input copy is re-submitted to
+// budget derived from the router's own CNN-wait histogram (its p95,
+// clamped to [500 µs, 100 ms], or a fixed override), the retained input
+// copy is re-submitted to
 // the key's ring sibling and the two dispatches race; the router's future
 // resolves exactly once with the first answer (mutex-guarded first-wins,
 // tsan-clean). Errors are held back while a sibling might still answer —
@@ -61,12 +62,12 @@
 namespace dnnspmv {
 
 /// Consistent-hash ring mapping structural fingerprints to replica ids.
-/// Each replica owns `vnodes` points on the ring (splitmix64-placed); a
+/// Each replica owns 128 points on the ring (splitmix64-placed); a
 /// fingerprint's primary is the first point clockwise, its sibling the
 /// next point owned by a *different* replica. Exposed for balance tests.
 class HashRing {
  public:
-  explicit HashRing(int replicas, int vnodes = 128);
+  explicit HashRing(int replicas);
 
   int primary(std::uint64_t fp) const;
   /// Hedge target: next distinct replica clockwise (== primary only when
@@ -85,31 +86,24 @@ struct RouterOptions {
   int replicas = 2;
   /// Template for every replica's service. cache_capacity is the ROUTER
   /// total: it is divided by `replicas` (floor 64) since the ring already
-  /// partitions the keyspace. Set divide_cache=false to give every replica
-  /// the full capacity instead.
+  /// partitions the keyspace.
   ServiceOptions service;
-  bool divide_cache = true;
 
-  // Hedging. The budget is hedge_quantile of the router's cnn_wait_us
-  // histogram, clamped to [hedge_min_us, hedge_max_us] and refreshed every
-  // few resolutions; until enough waits are observed the clamp floor
-  // applies (hedge early, learn up). hedge_fixed_us > 0 bypasses the
-  // quantile entirely — deterministic tests use it.
+  // Hedging. The budget is the p95 of the router's cnn_wait_us histogram,
+  // clamped to [500 µs, 100 ms] and refreshed every few resolutions; until
+  // enough waits are observed the 500 µs floor applies (hedge early, learn
+  // up). hedge_fixed_us > 0 bypasses the quantile entirely — deterministic
+  // tests use it.
   bool hedge = true;
-  double hedge_quantile = 0.95;
-  std::int64_t hedge_min_us = 500;
-  std::int64_t hedge_max_us = 100'000;
   std::int64_t hedge_fixed_us = 0;
 
   // Placement: plan one core/NUMA group per replica (serve/affinity.hpp)
   // and pin each replica's workers to its group. Best-effort.
   bool pin_workers = true;
 
-  int vnodes = 128;  // ring points per replica
-
   // Per-replica fault injectors (index = replica id; null entries and
-  // missing tail entries mean "use the global injector"). How a bench or
-  // test scripts a straggler replica end to end.
+  // missing tail entries mean "no fault injection"). How a bench or test
+  // scripts a straggler replica end to end.
   std::vector<fault::Injector*> injectors;
 };
 

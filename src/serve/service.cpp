@@ -14,21 +14,14 @@
 namespace dnnspmv {
 namespace {
 
+// First sleep of the bounded full-queue retry; doubles per attempt.
+constexpr std::int64_t kPushBackoffUs = 50;
+
 std::size_t shed_threshold_for(const ServiceOptions& opts) {
   if (opts.shed_watermark > 1.0) return SIZE_MAX;  // shedding disabled
   const auto t = static_cast<std::size_t>(
       opts.shed_watermark * static_cast<double>(opts.queue_capacity));
   return std::max<std::size_t>(1, t);
-}
-
-FallbackSelector make_fallback(const ModelRegistry& registry,
-                               const ServiceOptions& opts) {
-  if (!opts.fallback) return FallbackSelector(registry.candidates());
-  DNNSPMV_CHECK_ERRC(opts.fallback->candidates() == registry.candidates(),
-                     errc::invalid_argument,
-                     "ServiceOptions::fallback was built for a different "
-                     "candidate list than the model registry's");
-  return *opts.fallback;
 }
 
 /// Ready future carrying `idx`; also consumes `done` on the success path.
@@ -52,11 +45,10 @@ SelectionService::SelectionService(ModelRegistry& registry,
       subscription_(registry_),
       opts_(std::move(opts)),
       rep_builder_(registry_.current()->rep_builder()),
-      fallback_(make_fallback(registry_, opts_)),
+      fallback_(registry_.candidates()),
       shed_threshold_(shed_threshold_for(opts_)),
-      injector_(opts_.injector ? opts_.injector : &fault::Injector::global()),
       feedback_probe_(opts_.feedback_probe),
-      cache_(opts_.cache_capacity, opts_.cache_shards),
+      cache_(opts_.cache_capacity),
       queue_(opts_.queue_capacity),
       // Enough pooled buffer sets to cover every request that can be in
       // flight at once (queued + being batched per worker), so a loaded
@@ -65,15 +57,13 @@ SelectionService::SelectionService(ModelRegistry& registry,
                 static_cast<std::size_t>(std::max(opts_.num_workers, 1)) *
                     opts_.max_batch),
       batcher_(subscription_, queue_, cache_, metrics_, opts_.max_batch,
-               injector_, &rep_pool_) {
+               opts_.injector, &rep_pool_) {
   DNNSPMV_CHECK_ERRC(opts_.num_workers > 0, errc::invalid_argument,
                      "need at least one worker");
   DNNSPMV_CHECK_ERRC(opts_.shed_watermark > 0.0, errc::invalid_argument,
                      "shed_watermark must be positive (use > 1 to disable)");
   DNNSPMV_CHECK_ERRC(opts_.push_retries >= 0, errc::invalid_argument,
                      "push_retries must be non-negative");
-  DNNSPMV_CHECK_ERRC(opts_.push_backoff_us >= 0, errc::invalid_argument,
-                     "push_backoff_us must be non-negative");
   if (opts_.feedback && !feedback_probe_) {
     // Default probe: time this host's real kernels over the registry's
     // candidates — the same measured-label path the offline pipeline uses.
@@ -145,10 +135,11 @@ std::future<std::int32_t> SelectionService::enqueue(
   req.enqueued_at_us = obs::now_us();
   if (deadline) req.deadline_us = req.enqueued_at_us + deadline->count();
 
-  std::int64_t backoff_us = opts_.push_backoff_us;
+  std::int64_t backoff_us = kPushBackoffUs;
   for (int attempt = 0;; ++attempt) {
     PushResult pr;
-    if (injector_->enabled() && injector_->inject(fault::Site::kQueuePush))
+    if (opts_.injector && opts_.injector->enabled() &&
+        opts_.injector->inject(fault::Site::kQueuePush))
       pr = PushResult::kFull;  // injected transient full-queue
     else
       pr = queue_.try_push(std::move(req));
@@ -169,8 +160,7 @@ std::future<std::int32_t> SelectionService::enqueue(
     // Transiently full: bounded retry with doubling backoff, then shed.
     if (attempt >= opts_.push_retries) break;
     metrics_.record_retry();
-    if (backoff_us > 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
+    std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
     backoff_us *= 2;
   }
   return answer_degraded(st, false, std::move(req.done));

@@ -33,15 +33,16 @@
 //   * Load shedding — when queue occupancy crosses
 //     shed_watermark × queue_capacity, new misses skip representation
 //     building and the CNN entirely and are answered by the
-//     FallbackSelector (a stats-features heuristic / decision tree, see
-//     serve/fallback.hpp). Clients get a slightly weaker prediction now
-//     instead of blocking; the `degraded`/`shed` counters record it.
+//     FallbackSelector (stats-feature rules, see serve/fallback.hpp).
+//     Clients get a slightly weaker prediction now instead of blocking;
+//     the `degraded`/`shed` counters record it.
 //   * Bounded retry — a transiently full queue is retried push_retries
-//     times with doubling backoff (push_backoff_us base); if the queue is
-//     still full the request degrades rather than blocks.
-//   * Fault injection — serve/fault.hpp sites are consulted on the push
-//     and worker paths, so all of the above is deterministically testable.
-//     (An injected *throw* at kQueuePush propagates to the submitter.)
+//     times with doubling backoff from 50 µs; if the queue is still full
+//     the request degrades rather than blocks.
+//   * Fault injection — when ServiceOptions::injector is set, its
+//     serve/fault.hpp sites are consulted on the push and worker paths,
+//     so all of the above is deterministically testable. (An injected
+//     *throw* at kQueuePush propagates to the submitter.)
 //
 // Failure semantics per request: exactly one of
 //   value            — cache hit, CNN answer, or degraded (fallback) answer
@@ -110,32 +111,26 @@ struct ServiceOptions {
   std::size_t max_batch = 16;     // micro-batch coalescing limit
   std::size_t queue_capacity = 256;
   std::size_t cache_capacity = 4096;
-  std::size_t cache_shards = 8;
 
   // Worker placement: CPU ids the worker pool pins to at start-up (empty =
   // leave threads to the scheduler). Set by ReplicaRouter from its NUMA
   // plan (serve/affinity.hpp); pinning is best-effort.
   std::vector<int> pin_cpus;
 
-  // Fault-injection scope: the injector this service's sites consult
-  // (null = the process-global fault::Injector::global()). A router bench
-  // or test hands one replica a private armed injector to script a
-  // straggler while its siblings stay healthy. Must outlive the service.
+  // Fault injection: the injector this service's sites consult (null = no
+  // site ever fires). A test or bench arms a private injector to make one
+  // service, or one router replica, unhealthy on purpose while the rest
+  // stay healthy. Must outlive the service.
   fault::Injector* injector = nullptr;
 
-  // Robustness knobs. shed_watermark is a fraction of queue_capacity:
+  // Overload behaviour. shed_watermark is a fraction of queue_capacity:
   // misses arriving above it are answered degraded instead of queued
   // (> 1.0 disables admission-control shedding; a full queue still
-  // degrades after the retry budget). push_retries/push_backoff_us bound
-  // how long a submitter courts a transiently full queue: attempt, sleep
-  // backoff, double it, at most push_retries times.
+  // degrades after the retry budget). push_retries bounds how long a
+  // submitter courts a transiently full queue: attempt, sleep a backoff
+  // that starts at 50 µs and doubles, at most push_retries times.
   double shed_watermark = 0.9;
   int push_retries = 3;
-  std::int64_t push_backoff_us = 50;
-  // Degraded-path selector; unset → rule-tier fallback over the
-  // selector's candidates. A trained one (FallbackSelector::train) must
-  // use the same candidate list as the FormatSelector.
-  std::optional<FallbackSelector> fallback;
 
   // Online-learning feedback (null = no feedback). When set, a sampled
   // fraction of cache misses that carry a matrix (feedback->offer()
@@ -217,7 +212,7 @@ class SelectionService {
   /// alongside whatever else the process reports.
   const ServiceMetrics& metrics() const { return metrics_; }
 
-  /// The degraded-path selector answering shed requests.
+  /// The degraded-path rule selector answering shed requests.
   const FallbackSelector& fallback() const { return fallback_; }
 
   const std::vector<Format>& candidates() const {
@@ -274,7 +269,6 @@ class SelectionService {
   StreamingRepBuilder rep_builder_;  // geometry pinned by the registry
   FallbackSelector fallback_;
   std::size_t shed_threshold_;  // queue occupancy that triggers shedding
-  fault::Injector* injector_;   // opts_.injector or the global instance
   std::function<std::vector<double>(const Csr&)> feedback_probe_;
   PredictionCache cache_;
   RequestQueue queue_;

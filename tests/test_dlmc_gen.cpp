@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -161,6 +162,40 @@ TEST(DlmcGen, LoadRejectsMissingAndCorruptFiles) {
   EXPECT_FALSE(load_corpus(truncated, &out));
   EXPECT_TRUE(out.empty());
   std::remove(truncated.c_str());
+}
+
+// Every case is one entry whose payload holds an empty 8-row matrix; the
+// header around it lies about how much follows. load_corpus must fail
+// closed on each lie without sizing an allocation by it.
+TEST(SizeLie, LoadCorpusRejectsLyingCounts) {
+  const auto append = [](std::string& s, auto v) {
+    s.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  struct Case {
+    const char* what;
+    std::uint64_t count;
+    index_t rows;
+  };
+  for (const Case& c : {Case{"entry count 2^62", std::uint64_t{1} << 62, 8},
+                        Case{"rows 2^31-1", 1, INT32_MAX}}) {
+    std::string bytes("DNSPCORP", 8);
+    append(bytes, std::uint32_t{1});  // cache format version
+    append(bytes, c.count);
+    append(bytes, std::int32_t{0});   // generator class
+    append(bytes, c.rows);
+    append(bytes, index_t{8});        // cols
+    append(bytes, std::int64_t{0});   // nnz
+    for (int r = 0; r <= 8; ++r) append(bytes, std::int64_t{0});  // ptr
+    const std::string path = temp_path("dlmc_size_lie.bin");
+    {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    std::vector<CorpusEntry> out;
+    EXPECT_FALSE(load_corpus(path, &out)) << c.what;
+    EXPECT_TRUE(out.empty()) << c.what;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+
+#include "common/error.hpp"
 
 #include "nn/activation.hpp"
 #include "nn/conv2d.hpp"
@@ -243,6 +246,35 @@ TEST(Serialize, RejectsBadMagic) {
   Dense a(2, 2, rng);
   std::stringstream ss("not a model file at all................");
   EXPECT_THROW(load_params(ss, a.params()), std::runtime_error);
+}
+
+// Model-file size fields are untrusted: each lie must end in a typed
+// data_error before anything is allocated from it.
+TEST(SizeLie, LoadParamsRejectsLyingCountAndRank) {
+  Rng rng(12);
+  Dense d(4, 3, rng);
+  const auto append = [](std::string& s, auto v) {
+    s.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  struct Case {
+    const char* what;
+    std::uint64_t count;
+    std::uint32_t rank;
+  };
+  const std::uint64_t n = d.params().size();
+  for (const Case& c : {Case{"param count 2^64-1", UINT64_MAX, 2},
+                        Case{"rank 2^32-1", n, UINT32_MAX}}) {
+    std::string bytes("DNNSPMV1", 8);
+    append(bytes, c.count);
+    append(bytes, c.rank);
+    std::stringstream ss(bytes);
+    try {
+      load_params(ss, d.params());
+      ADD_FAILURE() << c.what << ": accepted";
+    } catch (const DnnspmvError& e) {
+      EXPECT_EQ(e.code(), errc::data_error) << c.what;
+    }
+  }
 }
 
 TEST(Serialize, CopyParamsTransfersValues) {

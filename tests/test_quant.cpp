@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -532,6 +533,46 @@ TEST(QuantSerialize, TruncatedQuantTrailerIsRejected) {
   }
   EXPECT_THROW(FormatSelector::load(path), DnnspmvError);
   std::remove(path.c_str());
+}
+
+// Every case is one layer record whose payload holds a 1×1 layer; the
+// header around it lies about how much follows. Each lie must end in a
+// typed data_error before anything is allocated from it.
+TEST(SizeLie, QuantizedWeightSetLoadRejectsLyingCounts) {
+  const auto append = [](std::string& s, auto v) {
+    s.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  struct Case {
+    const char* what;
+    std::uint32_t layers;
+    std::int64_t rows, cols;
+  };
+  for (const Case& c :
+       {Case{"layer count 2^32-1", UINT32_MAX, 1, 1},
+        Case{"layer rows 2^32", 1, std::int64_t{1} << 32, 1},
+        Case{"rows x cols overflows", 1, std::int64_t{1} << 32,
+             std::int64_t{1} << 40}}) {
+    std::string bytes;
+    append(bytes, std::uint32_t{0x31535751});  // "QWS1"
+    append(bytes, c.layers);
+    append(bytes, std::int32_t{0});  // seq
+    append(bytes, std::int32_t{0});  // index
+    append(bytes, QLayer::kDense);
+    append(bytes, c.rows);
+    append(bytes, c.cols);
+    append(bytes, 1.0f);             // act_scale
+    append(bytes, std::int32_t{0});  // act_zp
+    append(bytes, 1.0f);             // w_scale[0]
+    append(bytes, 0.0f);             // bias[0]
+    append(bytes, std::int8_t{1});   // wq[0]
+    std::stringstream ss(bytes);
+    try {
+      (void)QuantizedWeightSet::load(ss);
+      ADD_FAILURE() << c.what << ": accepted";
+    } catch (const DnnspmvError& e) {
+      EXPECT_EQ(e.code(), errc::data_error) << c.what;
+    }
+  }
 }
 
 TEST(QuantSerialize, MismatchedWeightSetIsRejectedByTheExecutor) {

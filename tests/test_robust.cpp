@@ -71,8 +71,7 @@ errc code_of(std::future<std::int32_t>& fut) {
 }
 
 TEST(FaultInjector, ScriptedCountersFireExactlyNTimes) {
-  fault::ScopedFaults guard;
-  fault::Injector& inj = fault::Injector::global();
+  fault::Injector inj;
   fault::Plan plan;
   plan.drop_next = 2;
   inj.configure(fault::Site::kWorkerPop, plan);
@@ -86,21 +85,20 @@ TEST(FaultInjector, ScriptedCountersFireExactlyNTimes) {
 }
 
 TEST(FaultInjector, ResetDisablesAndInjectThrowsTypedError) {
-  {
-    fault::ScopedFaults guard;
-    fault::Plan plan;
-    plan.throw_next = 1;
-    fault::Injector::global().configure(fault::Site::kForward, plan);
-    try {
-      fault::Injector::global().inject(fault::Site::kForward);
-      FAIL() << "expected injected throw";
-    } catch (const DnnspmvError& e) {
-      EXPECT_EQ(e.code(), errc::fault_injected);
-    }
+  fault::Injector inj;
+  fault::Plan plan;
+  plan.throw_next = 1;
+  inj.configure(fault::Site::kForward, plan);
+  try {
+    inj.inject(fault::Site::kForward);
+    FAIL() << "expected injected throw";
+  } catch (const DnnspmvError& e) {
+    EXPECT_EQ(e.code(), errc::fault_injected);
   }
-  // Guard reset: disabled again, decide() is a no-op.
-  EXPECT_FALSE(fault::Injector::global().enabled());
-  EXPECT_FALSE(fault::Injector::global().inject(fault::Site::kForward));
+  // Reset: disabled again, decide() is a no-op.
+  inj.reset();
+  EXPECT_FALSE(inj.enabled());
+  EXPECT_FALSE(inj.inject(fault::Site::kForward));
 }
 
 TEST(RequestQueueTryPush, ReportsFullAndClosedWithoutConsuming) {
@@ -130,7 +128,6 @@ TEST(RequestQueueTryPush, ReportsFullAndClosedWithoutConsuming) {
 TEST(Fallback, RuleTierAlwaysReturnsValidCandidateIndex) {
   auto& p = pipeline();
   const FallbackSelector fb(p.selector.candidates());
-  EXPECT_FALSE(fb.has_tree());
   for (const CorpusEntry& e : p.corpus) {
     const std::int32_t idx = fb.predict_index(compute_stats(e.matrix));
     ASSERT_GE(idx, 0);
@@ -154,23 +151,6 @@ TEST(Fallback, RuleTierRecognizesCanonicalStructures) {
   EXPECT_EQ(p.selector.candidate_index(static_cast<Format>(99)), -1);
 }
 
-TEST(Fallback, TrainedTreeAnswersFromStatsFeatures) {
-  auto& p = pipeline();
-  const FallbackSelector fb =
-      FallbackSelector::train(p.labeled, p.selector.candidates());
-  EXPECT_TRUE(fb.has_tree());
-  int agree = 0;
-  for (const LabeledMatrix& lm : p.labeled) {
-    const std::int32_t idx = fb.predict_index(compute_stats(*lm.matrix));
-    ASSERT_GE(idx, 0);
-    ASSERT_LT(idx, static_cast<std::int32_t>(p.selector.candidates().size()));
-    if (idx == lm.label) ++agree;
-  }
-  // A depth-12 CART tree fits its own training set far better than chance.
-  EXPECT_GE(static_cast<double>(agree) / static_cast<double>(p.labeled.size()),
-            0.6);
-}
-
 TEST(Deadline, CacheHitAnswersEvenWhenAlreadyExpired) {
   auto& p = pipeline();
   ModelRegistry registry(p.selector.clone());
@@ -187,16 +167,17 @@ TEST(Deadline, CacheHitAnswersEvenWhenAlreadyExpired) {
 
 TEST(Deadline, ExpiredWhileQueuedFailsWithDeadlineExceeded) {
   auto& p = pipeline();
-  fault::ScopedFaults guard;
+  fault::Injector inj;
   // One worker, batch size 1: the first request pins the worker inside an
   // injected 60 ms forward delay; everything submitted meanwhile waits in
   // the queue past its own deadline.
   fault::Plan slow;
   slow.delay_next = 1;
   slow.delay_us = 60'000;
-  fault::Injector::global().configure(fault::Site::kForward, slow);
+  inj.configure(fault::Site::kForward, slow);
 
   ServiceOptions opts;
+  opts.injector = &inj;
   opts.num_workers = 1;
   opts.max_batch = 1;
   ModelRegistry registry(p.selector.clone());
@@ -227,14 +208,15 @@ TEST(Deadline, ExpiredWhileQueuedFailsWithDeadlineExceeded) {
 
 TEST(Shed, WatermarkAnswersDegradedInsteadOfBlocking) {
   auto& p = pipeline();
-  fault::ScopedFaults guard;
+  fault::Injector inj;
   // Pin the single worker so the queue backs up deterministically.
   fault::Plan slow;
   slow.delay_next = 1;
   slow.delay_us = 80'000;
-  fault::Injector::global().configure(fault::Site::kForward, slow);
+  inj.configure(fault::Site::kForward, slow);
 
   ServiceOptions opts;
+  opts.injector = &inj;
   opts.num_workers = 1;
   opts.max_batch = 1;
   opts.queue_capacity = 4;
@@ -280,16 +262,16 @@ TEST(Shed, WatermarkAnswersDegradedInsteadOfBlocking) {
 
 TEST(Shed, FullQueueDegradesAfterBoundedRetries) {
   auto& p = pipeline();
-  fault::ScopedFaults guard;
+  fault::Injector inj;
   // Script the push site itself to report "full" — no workers or queue
   // occupancy involved, so the retry accounting is exact.
   fault::Plan full;
   full.drop_next = 3;  // push attempt + 2 retries all see a full queue
-  fault::Injector::global().configure(fault::Site::kQueuePush, full);
+  inj.configure(fault::Site::kQueuePush, full);
 
   ServiceOptions opts;
+  opts.injector = &inj;
   opts.push_retries = 2;
-  opts.push_backoff_us = 10;
   opts.shed_watermark = 2.0;  // disable watermark shedding; isolate retry
   ModelRegistry registry(p.selector.clone());
   SelectionService service(registry, opts);
@@ -305,19 +287,20 @@ TEST(Shed, FullQueueDegradesAfterBoundedRetries) {
   EXPECT_EQ(s.shed, 0u);  // full-queue degrade, not a watermark shed
 
   // With the fault disarmed the same matrix goes through the CNN path.
-  fault::Injector::global().reset();
+  inj.reset();
   const std::int32_t cnn = service.predict_index(p.corpus[5].matrix);
   EXPECT_EQ(cnn, p.selector.predict_index(p.corpus[5].matrix));
 }
 
 TEST(FaultInjection, WorkerThrowFailsBatchWithoutLeakingPromises) {
   auto& p = pipeline();
-  fault::ScopedFaults guard;
+  fault::Injector inj;
   fault::Plan boom;
   boom.throw_next = 1;
-  fault::Injector::global().configure(fault::Site::kForward, boom);
+  inj.configure(fault::Site::kForward, boom);
 
   ServiceOptions opts;
+  opts.injector = &inj;
   opts.num_workers = 1;
   opts.max_batch = 8;
   ModelRegistry registry(p.selector.clone());
@@ -341,12 +324,13 @@ TEST(FaultInjection, WorkerThrowFailsBatchWithoutLeakingPromises) {
 
 TEST(FaultInjection, DropFailsOnlyTheDroppedRequest) {
   auto& p = pipeline();
-  fault::ScopedFaults guard;
+  fault::Injector inj;
   fault::Plan drop;
   drop.drop_next = 1;
-  fault::Injector::global().configure(fault::Site::kWorkerPop, drop);
+  inj.configure(fault::Site::kWorkerPop, drop);
 
   ServiceOptions opts;
+  opts.injector = &inj;
   opts.num_workers = 1;
   opts.max_batch = 1;  // one request per pop → the scripted drop hits one
   ModelRegistry registry(p.selector.clone());
@@ -360,18 +344,19 @@ TEST(FaultInjection, DropFailsOnlyTheDroppedRequest) {
   std::future<std::int32_t> served =
       service.submit({.matrix = &p.corpus[0].matrix});
   EXPECT_EQ(served.get(), p.selector.predict_index(p.corpus[0].matrix));
-  EXPECT_EQ(fault::Injector::global().injected(fault::Site::kWorkerPop), 1u);
+  EXPECT_EQ(inj.injected(fault::Site::kWorkerPop), 1u);
 }
 
 TEST(ShutdownRace, ShutdownWhileDegradedPathActive) {
   auto& p = pipeline();
-  fault::ScopedFaults guard;
+  fault::Injector inj;
   fault::Plan slow;
   slow.delay_prob = 1.0;
   slow.delay_us = 2'000;
-  fault::Injector::global().configure(fault::Site::kForward, slow);
+  inj.configure(fault::Site::kForward, slow);
 
   ServiceOptions opts;
+  opts.injector = &inj;
   opts.num_workers = 1;
   opts.max_batch = 2;
   opts.queue_capacity = 4;
@@ -413,12 +398,13 @@ TEST(ShutdownRace, ShutdownWhileDegradedPathActive) {
 
 TEST(RobustMetrics, RegistryExportCarriesRobustnessCounters) {
   auto& p = pipeline();
-  fault::ScopedFaults guard;
+  fault::Injector inj;
   fault::Plan full;
   full.drop_next = 1;
-  fault::Injector::global().configure(fault::Site::kQueuePush, full);
+  inj.configure(fault::Site::kQueuePush, full);
 
   ServiceOptions opts;
+  opts.injector = &inj;
   opts.push_retries = 0;
   opts.shed_watermark = 2.0;
   ModelRegistry registry(p.selector.clone());

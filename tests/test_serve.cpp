@@ -209,7 +209,7 @@ TEST(SelectionService, ServesCachedAndUncachedCorrectly) {
   EXPECT_EQ(s.batched_samples, 1u);
   EXPECT_EQ(s.cache_entries, 1u);
   std::uint64_t lat = 0;
-  for (std::uint64_t c : s.latency) lat += c;
+  for (std::uint64_t c : s.latency.buckets) lat += c;
   EXPECT_EQ(lat, 3u);  // every blocking predict recorded a latency
 }
 
@@ -275,9 +275,9 @@ TEST(SelectionServiceObs, SnapshotMatchesRegistryExport) {
   const obs::Histogram::Snapshot& lat =
       reg.histograms.at(prefix + "latency_us");
   EXPECT_EQ(lat.count, s.requests);
-  for (int i = 0; i < kLatencyBuckets; ++i)
-    EXPECT_EQ(lat.buckets[static_cast<std::size_t>(i)],
-              s.latency[static_cast<std::size_t>(i)]);
+  EXPECT_EQ(lat.buckets, s.latency.buckets);
+  EXPECT_EQ(lat.count, s.latency.count);
+  EXPECT_EQ(lat.sum, s.latency.sum);
   // Queue wait was recorded for each batched (cache-miss) request.
   EXPECT_EQ(reg.histograms.at(prefix + "queue_wait_us").count,
             s.cache_misses);
@@ -426,10 +426,11 @@ TEST(ServiceMetrics, LatencyHistogramBucketsAndQuantiles) {
   m.record_latency(1e-3);    // ~bucket 9/10
   const ServiceStats s = m.snapshot();
   std::uint64_t total = 0;
-  for (std::uint64_t c : s.latency) total += c;
+  for (std::uint64_t c : s.latency.buckets) total += c;
   EXPECT_EQ(total, 3u);
-  EXPECT_GT(s.latency_quantile(1.0), s.latency_quantile(0.01));
-  EXPECT_LE(s.latency_quantile(0.01), ServiceStats::bucket_upper_seconds(0));
+  EXPECT_GT(s.latency.quantile(1.0), s.latency.quantile(0.01));
+  EXPECT_LE(s.latency.quantile(0.01),
+            obs::Histogram::Snapshot::bucket_upper(0));
 }
 
 }  // namespace
